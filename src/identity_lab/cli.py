@@ -3,12 +3,13 @@
 Exit codes: 0 success / accepted / true; 3 rejected / false / no
 realization; 2 usage errors; 4 size-guard errors.  With --json a
 machine-readable report goes to stdout; reports are byte-identical across
-runs and thread counts, so wall time is printed to stderr only.
+runs, so wall time is printed to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -118,8 +119,10 @@ def _cmd_builtin(args):
 def _cmd_check(args):
     raw, data = _read_json(args.infile)
     ident = from_json(raw)
-    plain = check(ident, strengthened=False)
-    strong = check(ident, strengthened=True)
+    plain = check(ident)
+    # the strengthened condition is implied by the plain search (see the
+    # criterion module), so its verdict differs only in the mode flag
+    strong = dataclasses.replace(plain, strengthened=True)
     governing = strong if args.strengthened else plain
     if args.witness and governing.accepted:
         with open(args.witness, "w", encoding="utf-8") as fh:
@@ -170,9 +173,7 @@ def _cmd_oracle(args):
     col_raw, col_data = _read_json(args.coloring)
     coloring = coloring_from_json(col_raw)
     if args.list:
-        idents = id_of(
-            coloring, args.max_size, ordered=args.ordered, threads=args.threads
-        )
+        idents = id_of(coloring, args.max_size, ordered=args.ordered)
         out = {"identities": [to_json(s) for s in idents]}
         _emit(
             args,
@@ -202,7 +203,7 @@ def _cmd_oracle(args):
 def _cmd_arrow(args):
     s_raw, s_data = _read_json(args.identity)
     ident = from_json(s_raw)
-    ok = arrow_check(args.n, ident, args.colors, threads=args.threads)
+    ok = arrow_check(args.n, ident, args.colors)
     _emit(
         args,
         [s_data],
@@ -251,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--json", action="store_true", help="JSON report on stdout"
-    )
-    shared.add_argument(
-        "--threads", type=int, default=1, help="worker count for oracle searches"
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

