@@ -22,17 +22,17 @@ operations; the equivalence was verified exhaustively at small sizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Identity,
     _domain_masks,
-    canonical_form,
     elems_of,
     encoding,
     from_json,
     mask_of,
     permute_mask,
+    relabelings,
     to_json,
 )
 from .errors import SizeGuardError, UsageError
@@ -144,15 +144,14 @@ class Catalog:
     """Deduplicated store of ordered identities closed under the two
     operations within the size bound.
 
-    Deduplication is by exact ordered encoding; the canonical index used
-    for unordered queries is built lazily per (size, class-profile)
-    bucket.
+    Deduplication is by exact ordered encoding.  Unordered queries walk
+    the query's relabelings against ``entries``; no canonical index is
+    kept.
     """
 
     max_n: int
     flavor: str
     entries: dict  # Identity -> CatalogEntry, in discovery order
-    _canon_cache: dict = field(default_factory=dict, repr=False)
 
     def __contains__(self, s: Identity) -> bool:
         return s in self.entries
@@ -162,14 +161,6 @@ class Catalog:
 
     def members(self) -> list:
         return list(self.entries)
-
-
-def _profile(s: Identity) -> tuple:
-    return (
-        s.n,
-        tuple(sorted(len(c) for c in s.classes)),
-        tuple(sorted(tuple(sorted(b.bit_count() for b in c)) for c in s.classes)),
-    )
 
 
 def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
@@ -242,7 +233,12 @@ def replay_trace(trace, flavor: str = "pairs") -> Identity:
 
 def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
     """Membership query: exact encoding when ordered, up to relabeling
-    otherwise (some permutation of s has an exact match)."""
+    otherwise.
+
+    Unordered queries walk the orbit of s (``core.relabelings``) and stop
+    at the first relabeling that is an exact entry.  An absent pattern
+    costs n! hash lookups, and n <= max_n <= GENERATION_BOUND.
+    """
     if s.n > cat.max_n:
         raise SizeGuardError(
             f"query size {s.n} exceeds catalog bound {cat.max_n}"
@@ -253,16 +249,7 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
         )
     if ordered:
         return s in cat.entries
-    key = encoding(canonical_form(s)[0])
-    prof = _profile(s)
-    bucket = cat._canon_cache.get(prof)
-    if bucket is None:
-        bucket = set()
-        for t in cat.entries:
-            if _profile(t) == prof:
-                bucket.add(encoding(canonical_form(t)[0]))
-        cat._canon_cache[prof] = bucket
-    return key in bucket
+    return any(t in cat.entries for _, t in relabelings(s))
 
 
 def catalog_to_json(cat: Catalog) -> dict:
@@ -281,19 +268,60 @@ def catalog_to_json(cat: Catalog) -> dict:
     return d
 
 
+def _check_step(op, arg) -> None:
+    """A trace step is ("dup", m) or ("res", kept) with m, kept >= 0."""
+    if not (
+        op == "dup" and type(arg) is int and arg >= 0
+        or op == "res" and type(arg) is tuple
+        and all(type(x) is int and x >= 0 for x in arg)
+    ):
+        raise UsageError(f"trace step {[op, arg]!r} is not ['dup', m] or ['res', kept]")
+
+
 def catalog_from_json(d: dict) -> Catalog:
-    try:
-        max_n = int(d["max_n"])
-        raw = d["entries"]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"catalog JSON missing field: {exc}") from exc
-    flavor = d.get("flavor", "pairs")
-    entries = {}
-    for item in raw:
-        ident = from_json(item["identity"])
-        trace = tuple(
-            (op, tuple(arg) if op == "res" else int(arg))
-            for op, arg in item["trace"]
+    """Parse a catalog and check its shape before it is trusted.
+
+    Refused with UsageError: a malformed document, max_n outside
+    1..GENERATION_BOUND, a flavor other than pairs/full, an entry larger
+    than max_n or of another flavor, a malformed trace step and a
+    repeated entry.  Traces are not replayed here; the tests replay every
+    stored trace.  Equal classes and equal trace steps are stored once:
+    the 4262 entries of the size-6 catalog share 187 distinct classes.
+    """
+    if not isinstance(d, dict):
+        raise UsageError("catalog JSON must be an object")
+    max_n, flavor, raw = d.get("max_n"), d.get("flavor", "pairs"), d.get("entries")
+    if type(max_n) is not int or not 1 <= max_n <= GENERATION_BOUND:
+        raise UsageError(
+            f"catalog max_n must be an integer in 1..{GENERATION_BOUND}, got {max_n!r}"
         )
-        entries[ident] = CatalogEntry(ident, trace)
+    if flavor not in ("pairs", "full"):
+        raise UsageError(f"catalog flavor must be pairs or full, got {flavor!r}")
+    if not isinstance(raw, list):
+        raise UsageError("catalog entries must be a list")
+    shared = {}  # the one stored copy of each class and each trace step
+    entries = {}
+    for i, item in enumerate(raw):
+        try:
+            ident = from_json(item["identity"])
+            trace = []
+            for op, arg in item["trace"]:
+                step = (op, tuple(arg) if type(arg) is list else arg)
+                if step not in shared:
+                    _check_step(*step)
+                    shared[step] = step
+                trace.append(shared[step])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"catalog entry {i}: {exc!r}") from exc
+        if ident.n > max_n or ident.flavor != flavor:
+            raise UsageError(
+                f"catalog entry {i} is a {ident.flavor} identity on {ident.n} "
+                f"elements; the catalog holds {flavor} identities up to {max_n}"
+            )
+        ident = Identity(
+            ident.n, flavor, frozenset(shared.setdefault(c, c) for c in ident.classes)
+        )
+        if ident in entries:
+            raise UsageError(f"catalog entry {i} repeats an earlier entry")
+        entries[ident] = CatalogEntry(ident, tuple(trace))
     return Catalog(max_n, flavor, entries)

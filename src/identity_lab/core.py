@@ -28,6 +28,17 @@ from .errors import SizeGuardError, UsageError
 FLAVORS = ("full", "partial", "pairs")
 
 CANONICAL_BOUND = 12  # brute-force relabeling bound; cost is factorial in n
+# Largest ground set accepted from input, checked before any C(n,2)
+# structure is built; s_doubleprime_n(3) has 72 elements.
+GROUND_BOUND = 72
+
+
+def check_ground(n: int) -> None:
+    """Refuse a ground size above GROUND_BOUND with a size-guard error."""
+    if n > GROUND_BOUND:
+        raise SizeGuardError(
+            f"ground size {n} exceeds the bound {GROUND_BOUND}"
+        )
 
 
 def mask_of(elems) -> int:
@@ -219,24 +230,32 @@ def encoding(s: Identity) -> tuple:
     return (s.n, s.flavor, cls, dom)
 
 
+def relabelings(s: Identity):
+    """Walk the orbit of s under relabeling: yield (pi, permute(s, pi)).
+
+    Every permutation pi of 0..n-1 comes once, in itertools.permutations
+    order, so the identity comes first; orbit members repeat when s has
+    automorphisms.  The walk is n! steps long and is refused above
+    CANONICAL_BOUND.
+    """
+    if s.n > CANONICAL_BOUND:
+        raise SizeGuardError(
+            f"relabeling scan supports n <= {CANONICAL_BOUND}, got {s.n}"
+        )
+    for pi in itertools.permutations(range(s.n)):
+        yield pi, permute(s, pi)
+
+
 def canonical_form(s: Identity):
     """Lexicographically minimal relabeling of s, with a witnessing permutation.
 
     Two identities are isomorphic iff their canonical forms are equal.  The
-    minimum is taken by brute force over all n! relabelings, so the cost is
-    factorial; all shipped workloads stay at n <= 8.
+    minimum of ``encoding`` is taken over one full orbit walk
+    (``relabelings``), so the cost is n! relabelings; the witness is the
+    first minimizing permutation in itertools order.
     """
-    if s.n > CANONICAL_BOUND:
-        raise SizeGuardError(
-            f"canonical_form supports n <= {CANONICAL_BOUND}, got {s.n}"
-        )
-    best = None
-    best_pi = None
-    for pi in itertools.permutations(range(s.n)):
-        enc = encoding(permute(s, pi))
-        if best is None or enc < best:
-            best, best_pi = enc, pi
-    return permute(s, best_pi), best_pi
+    pi, form = min(relabelings(s), key=lambda item: encoding(item[1]))
+    return form, pi
 
 
 def _class_id_map(s: Identity) -> dict:
@@ -364,6 +383,7 @@ def from_json(d: dict) -> Identity:
         dom = None if dom is None else list(dom)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"identity JSON malformed: {exc!r}") from exc
+    check_ground(n)
     s = Identity(
         n,
         flavor,

@@ -9,8 +9,8 @@ realize a given identity.
 Every search here is exhaustive by contract; cost guards raise instead of
 subsampling, because these functions serve as ground truth for the rest of
 the package.  Each search runs in a single thread.  The unordered identity
-list is derived from the ordered one by canonical forms rather than by a
-second enumeration over all injections.
+list is derived from the ordered one, one orbit walk per isomorphism
+class, rather than by a second enumeration over all injections.
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import Identity, canonical_form, elems_of, encoding, validate
+from .core import (
+    Identity,
+    check_ground,
+    elems_of,
+    encoding,
+    relabelings,
+    validate,
+)
 from .errors import SizeGuardError, UsageError
 
 ID_OF_MAX_SIZE = 6
@@ -97,8 +104,10 @@ def builtin_coloring(kind: str, **params) -> Coloring:
     constant(n):          one color everywhere.
     random(n, colors, seed): uniform per pair, reproducible; seed required.
     """
-    if kind == "min_pair":
+    if kind in ("min_pair", "constant", "random"):
         n = _int_param(params, "n")
+        check_ground(n)
+    if kind == "min_pair":
         if n < 2:
             raise UsageError("min_pair needs n >= 2")
         table = {(i, j): i for i, j in _pairs(n)}
@@ -109,6 +118,8 @@ def builtin_coloring(kind: str, **params) -> Coloring:
             length = _int_param(params, "len")
             if length < 1:
                 raise UsageError("sierpinski_meet needs len >= 1")
+            if length > 4:  # checked before the 2**len strings are built
+                raise SizeGuardError(f"sierpinski_meet supports len <= 4, got {length}")
             strings = ["".join(b) for b in itertools.product("01", repeat=length)]
         elif not isinstance(strings, (list, tuple)) or not all(
             isinstance(x, str) for x in strings
@@ -143,14 +154,12 @@ def builtin_coloring(kind: str, **params) -> Coloring:
             {"labels": strings, "decode": decode},
         )
     if kind == "constant":
-        n = _int_param(params, "n")
         if n < 1:
             raise UsageError("constant needs n >= 1")
         return Coloring(n, 2, {p: 0 for p in _pairs(n)}, 1)
     if kind == "random":
         if "seed" not in params:
             raise UsageError("random coloring requires an explicit seed")
-        n = _int_param(params, "n")
         colors = _int_param(params, "colors")
         if n < 2 or colors < 1:
             raise UsageError("random needs n >= 2 and colors >= 1")
@@ -276,7 +285,10 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     increasing injections, with no relabeling.  Unordered mode returns the
     canonical forms of the ordered result: an arbitrary injection is an
     increasing one followed by a relabeling, so both describe the same
-    isomorphism classes.  The result is sorted and duplicate-free.
+    isomorphism classes.  Each class is walked once: the orbit of one
+    ordered identity is removed from the rest, and its least member by
+    ``encoding`` is ``canonical_form`` of each of them.  The result is
+    sorted and duplicate-free.
 
     Hard guards: max_size <= 6, ground <= 10, and, for each size, the
     refinement expansion of the ordered enumeration (the product of Bell
@@ -324,7 +336,14 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
                 )
                 found.add(Identity(k, "pairs", classes))
     if not ordered:
-        found = {canonical_form(s)[0] for s in found}
+        # one orbit walk per isomorphism class: its least member is the
+        # canonical form of every member, so the rest need no walk
+        forms = set()
+        while found:
+            orbit = [t for _, t in relabelings(found.pop())]
+            found.difference_update(orbit)
+            forms.add(min(orbit, key=encoding))
+        found = forms
     return sorted(found, key=encoding)
 
 
@@ -407,6 +426,7 @@ def coloring_from_json(d: dict) -> Coloring:
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"coloring JSON malformed: {exc}") from exc
+    check_ground(n)
     num = max(table.values(), default=-1) + 1
     c = Coloring(n, arity, table, max(num, 1))
     _validate_coloring(c)

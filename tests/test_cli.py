@@ -116,10 +116,52 @@ def test_usage_errors_exit_2(tmp_path):
         assert proc.returncode == 2, desc
         assert "Traceback" not in proc.stderr
 
+    # catalogs are checked on load
+    entry = {"identity": {"n": 2, "flavor": "pairs", "classes": []}, "trace": []}
+    for i, cat in enumerate((
+        [],
+        {"max_n": 6, "entries": [1]},
+        {"max_n": 6, "entries": 5},
+        {"max_n": "x", "entries": []},
+        {"max_n": 0, "entries": []},
+        {"max_n": 9, "entries": []},
+        {"max_n": 6, "flavor": "partial", "entries": []},
+        {"max_n": 1, "entries": [entry]},  # entry larger than max_n
+        {"max_n": 6, "entries": [
+            {**entry, "identity": {"n": 2, "flavor": "full", "classes": []}}]},
+        {"max_n": 6, "entries": [{**entry, "trace": [["zap", 1]]}]},
+        {"max_n": 6, "entries": [{**entry, "trace": [["res", [0, [1]]]]}]},
+        {"max_n": 6, "entries": [{**entry, "trace": 5}]},
+        {"max_n": 6, "entries": [entry, {**entry, "trace": [["dup", 2]]}]},
+    )):
+        f = tmp_path / f"bad_cat{i}.json"
+        f.write_text(json.dumps(cat))
+        proc = run("member", "--catalog", str(f), "--in", str(ident))
+        assert proc.returncode == 2, cat
+        assert "Traceback" not in proc.stderr
+
 
 def test_size_guards_exit_4(tmp_path):
     assert run("catalog", "--max-size", "9", "--out", str(tmp_path / "x.json")).returncode == 4
     assert run("builtin", "--family", "sdoubleprime", "--n", "4").returncode == 4
+
+    # ground sizes above the input bound are refused before any pair table
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 3000, "flavor": "pairs", "classes": []}))
+    proc = run("check", "--in", str(big))
+    assert proc.returncode == 4
+    assert "3000" in proc.stderr and "72" in proc.stderr
+    ident = tmp_path / "trivial2.json"
+    ident.write_text(json.dumps({"n": 2, "flavor": "pairs", "classes": []}))
+    for desc, shown in (
+        ({"builtin": "min_pair", "n": 3000}, "3000"),
+        ({"builtin": "sierpinski_meet", "len": 40}, "40"),
+    ):
+        col = tmp_path / "big_col.json"
+        col.write_text(json.dumps(desc))
+        proc = run("oracle", "--coloring", str(col), "--identity", str(ident))
+        assert proc.returncode == 4, desc
+        assert shown in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_catalog_member_flow(tmp_path, sk3_file):

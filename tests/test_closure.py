@@ -1,6 +1,7 @@
 """Generation fixed point: the two operations, the catalog, provenance."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,13 +17,53 @@ from identity_lab import (
     permute,
     replay_trace,
     restrict,
+    s_doubleprime_n,
     s_k,
+    s_prime_n,
     to_json,
     to_pairs,
     trivial,
 )
 from identity_lab.closure import _gpd
-from identity_lab.core import identity_from_subsets, mask_of
+from identity_lab.core import canonical_form, identity_from_subsets, mask_of
+
+
+class BucketIndex:
+    """Slow reference for unordered membership: the canonical-form index.
+
+    Catalog entries are grouped by class profile (size, class sizes,
+    member sizes).  A query is a member iff its canonical form equals the
+    canonical form of some entry in its profile's bucket; entries' forms
+    are computed by brute force when first compared, and kept.
+    """
+
+    def __init__(self, cat):
+        self.buckets = {}
+        for t in cat.entries:
+            self.buckets.setdefault(self.profile(t), []).append(t)
+        self.forms = {}
+
+    @staticmethod
+    def profile(s):
+        return (
+            s.n,
+            tuple(sorted(len(c) for c in s.classes)),
+            tuple(sorted(tuple(sorted(b.bit_count() for b in c)) for c in s.classes)),
+        )
+
+    def form(self, t):
+        if t not in self.forms:
+            self.forms[t] = canonical_form(t)[0]
+        return self.forms[t]
+
+    def __contains__(self, s):
+        key = canonical_form(s)[0]
+        return any(self.form(t) == key for t in self.buckets.get(self.profile(s), ()))
+
+
+@pytest.fixture(scope="module")
+def cat6_index(cat6):
+    return BucketIndex(cat6)
 
 
 def test_duplicate_at_full_overlap_is_identity():
@@ -154,6 +195,57 @@ def test_member_unordered_sees_relabelings(cat6):
     pi = (4, 0, 3, 1, 2)
     moved = permute(mem, pi)
     assert member_of_catalog(cat6, moved, ordered=False)
+
+
+def test_member_matches_bucket_index_on_s_prime_2_restrictions(cat6, cat6_index):
+    sp2 = s_prime_n(2)
+    absent = 0
+    for keep in itertools.combinations(range(sp2.n), 6):
+        r = restrict(sp2, keep)
+        member = member_of_catalog(cat6, r, ordered=False)
+        assert member == (r in cat6_index), keep
+        absent += not member
+    assert absent == 8
+
+
+def test_member_matches_bucket_index_on_s_prime_3_sample(cat6, cat6_index):
+    sp3 = s_prime_n(3)
+    keeps = random.Random(4).sample(
+        list(itertools.combinations(range(sp3.n), 6)), 40
+    )
+    for keep in keeps:
+        r = restrict(sp3, keep)
+        assert member_of_catalog(cat6, r, ordered=False) == (r in cat6_index), keep
+
+
+@given(data=st.data())
+def test_member_matches_bucket_index_on_relabeled_entries(cat6, cat6_index, data):
+    # entries up to size 5 keep the reference's buckets cheap (n! <= 120);
+    # the restriction tests above cover size 6
+    s = data.draw(st.sampled_from([t for t in cat6.members() if t.n <= 5]))
+    moved = permute(s, data.draw(st.permutations(range(s.n))))
+    assert member_of_catalog(cat6, moved, ordered=False)
+    assert moved in cat6_index
+
+
+@pytest.mark.parametrize(
+    "family, absent_expected",
+    [(s_prime_n(3), 72), (s_doubleprime_n(2), 8)],
+    ids=["s_prime_3", "s_doubleprime_2"],
+)
+def test_six_subset_sweep(cat6, cat6_index, family, absent_expected):
+    # every 6-element restriction, answered once per distinct pattern
+    answers = {}
+    absent = 0
+    for keep in itertools.combinations(range(family.n), 6):
+        r = restrict(family, keep)
+        if r not in answers:
+            answers[r] = member_of_catalog(cat6, r, ordered=False)
+        absent += not answers[r]
+    for r, member in answers.items():
+        if not member:
+            assert r not in cat6_index
+    assert absent == absent_expected
 
 
 def test_member_rejects_oversized_query(cat4):

@@ -198,6 +198,15 @@ def test_unordered_id_of_matches_brute_force_at_size_4():
     assert id_of(c, 4) == brute_unordered_id_of(c, 4)
 
 
+def test_unordered_id_of_is_the_canonical_closure_at_size_5():
+    # one canonical form per ordered identity, the cost the orbit walk saves
+    c = builtin_coloring("random", n=5, colors=3, seed=13)
+    ordered = id_of(c, 5, ordered=True)
+    assert id_of(c, 5) == sorted(
+        {canonical_form(s)[0] for s in ordered}, key=encoding
+    )
+
+
 def test_id_of_guards():
     c = builtin_coloring("min_pair", n=5)
     with pytest.raises(SizeGuardError):
