@@ -12,11 +12,13 @@ reachable through larger intermediates (the 3-element all-singleton
 pattern needs a 4-element parent).  The two operations commute, and every
 reachable identity of size <= N can be produced by a chain of two
 bounded step shapes: dropping one element, and a generalized partial
-duplication (split the ground set at m, double a chosen tail subset B,
-and replace a disjoint tail subset D by its copies) whose result also
-stays <= N.  Each generalized step equals duplicate followed by one
-restrict, so provenance traces still replay through the two public
-operations; the equivalence was verified exhaustively at small sizes.
+duplication whose result also stays <= N.  That step splits the ground set
+at m < n, duplicates the tail m..n-1, and gives each tail element a fate:
+0 keeps the original, 1 keeps the original and its copy (doubling it), 2
+keeps only the copy.  It is one duplicate followed by one restrict, so
+provenance traces replay through the two public operations.  Only the
+fates that fit are enumerated: at least one nonzero fate, and at most
+N - n ones, so a size-N parent draws its fates from {0, 2} alone.
 """
 
 from __future__ import annotations
@@ -75,20 +77,6 @@ def duplicate(s: Identity, m: int) -> Identity:
     return Identity(n2, s.flavor, frozenset(classes))
 
 
-def _keep_mask_and_relabel(n: int, keep) -> tuple:
-    if isinstance(keep, int):
-        kept = elems_of(keep)
-    else:
-        kept = tuple(sorted(set(keep)))
-    if not kept:
-        raise UsageError("restriction needs a nonempty keep set")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise UsageError(f"keep set {kept} exceeds ground set 0..{n - 1}")
-    kmask = mask_of(kept)
-    relab = {x: i for i, x in enumerate(kept)}
-    return kmask, relab, kept
-
-
 def restrict(s: Identity, keep) -> Identity:
     """Induce the pattern on a subset of the ground set.
 
@@ -96,7 +84,13 @@ def restrict(s: Identity, keep) -> Identity:
     elements are relabeled order-preservingly onto 0..|keep|-1; induced
     classes that fall to a single member become implicit singletons.
     """
-    kmask, relab, kept = _keep_mask_and_relabel(s.n, keep)
+    kept = elems_of(keep) if isinstance(keep, int) else tuple(sorted(set(keep)))
+    if not kept:
+        raise UsageError("restriction needs a nonempty keep set")
+    if kept[0] < 0 or kept[-1] >= s.n:
+        raise UsageError(f"keep set {kept} exceeds ground set 0..{s.n - 1}")
+    kmask = mask_of(kept)
+    relab = {x: i for i, x in enumerate(kept)}
     classes = []
     for c in s.classes:
         nc = frozenset(
@@ -110,24 +104,6 @@ def restrict(s: Identity, keep) -> Identity:
             permute_mask(b, relab) for b in s.domain if b & ~kmask == 0
         )
     return Identity(len(kept), s.flavor, frozenset(classes), dom)
-
-
-def _gpd_trace_steps(n: int, m: int, bset, dset) -> list:
-    rset = sorted(bset | dset)
-    kept = [x for x in range(n) if x not in dset] + [n + (r - m) for r in rset]
-    return [("dup", m), ("res", tuple(kept))]
-
-
-def _gpd(s: Identity, m: int, bset, dset) -> Identity:
-    """Generalized partial duplication: one bounded generation step.
-
-    Duplicate above m, then keep every original element outside dset plus
-    the copies of bset | dset; elements of bset end up doubled, elements
-    of dset are replaced by their copies.  The intermediate may exceed the
-    catalog bound; only the result is size-limited.
-    """
-    (_, mm), (_, kept) = _gpd_trace_steps(s.n, m, bset, dset)
-    return restrict(duplicate(s, mm), kept)
 
 
 @dataclass(frozen=True)
@@ -167,8 +143,14 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     """All identities of size <= max_n reachable by duplicate/restrict.
 
     Breadth-first fixed point from the 1-element identity, using the
-    bounded generation steps described in the module docstring; traces are
-    minimal-depth and replay through the two public operations.
+    bounded generation steps described in the module docstring.  Each
+    frontier member, in ``encoding`` order, produces its single-element
+    drops, then for m = 0..n-1 its fate tuples in lexicographic order, and
+    the first step to reach an identity gives its trace.  Leaving out the
+    fates that do not fit keeps the lexicographic order of the rest, so
+    traces and entry order equal those of a walk over every 3^(n-m)
+    assignment that filters afterwards.  Traces are minimal-depth and
+    replay through the two public operations.
     """
     if max_n < 1:
         raise UsageError(f"catalog bound must be >= 1, got {max_n}")
@@ -193,21 +175,18 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
                     produced.append(
                         (restrict(s, kept), (("res", kept),))
                     )
-            for m in range(n + 1):
-                tail = list(range(m, n))
-                doubled = None
-                for assign in itertools.product((0, 1, 2), repeat=len(tail)):
-                    bset = {tail[i] for i, a in enumerate(assign) if a == 1}
-                    dset = {tail[i] for i, a in enumerate(assign) if a == 2}
-                    if not bset and not dset:
+            fates = (0, 2) if n == max_n else (0, 1, 2)
+            for m in range(n):
+                doubled = duplicate(s, m)
+                for fate in itertools.product(fates, repeat=n - m):
+                    if not any(fate) or fate.count(1) > max_n - n:
                         continue
-                    if n + len(bset) > max_n:
-                        continue
-                    if doubled is None:
-                        doubled = duplicate(s, m)
-                    steps = _gpd_trace_steps(n, m, bset, dset)
+                    kept = tuple(
+                        [x for x in range(n) if x < m or fate[x - m] != 2]
+                        + [n + i for i, f in enumerate(fate) if f]
+                    )
                     produced.append(
-                        (restrict(doubled, steps[1][1]), tuple(steps))
+                        (restrict(doubled, kept), (("dup", m), ("res", kept)))
                     )
             for t, steps in produced:
                 if t not in entries:

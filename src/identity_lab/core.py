@@ -210,6 +210,11 @@ def permute(s: Identity, pi) -> Identity:
     pi = tuple(pi)
     if sorted(pi) != list(range(s.n)):
         raise UsageError(f"permutation {pi} does not act on 0..{s.n - 1}")
+    return _relabel(s, pi)
+
+
+def _relabel(s: Identity, pi: tuple) -> Identity:
+    """``permute`` for a pi already known to be a permutation of 0..n-1."""
     classes = frozenset(
         frozenset(permute_mask(b, pi) for b in c) for c in s.classes
     )
@@ -236,14 +241,15 @@ def relabelings(s: Identity):
     Every permutation pi of 0..n-1 comes once, in itertools.permutations
     order, so the identity comes first; orbit members repeat when s has
     automorphisms.  The walk is n! steps long and is refused above
-    CANONICAL_BOUND.
+    CANONICAL_BOUND.  It generates only permutations, so no step checks
+    pi again.
     """
     if s.n > CANONICAL_BOUND:
         raise SizeGuardError(
             f"relabeling scan supports n <= {CANONICAL_BOUND}, got {s.n}"
         )
     for pi in itertools.permutations(range(s.n)):
-        yield pi, permute(s, pi)
+        yield pi, _relabel(s, pi)
 
 
 def canonical_form(s: Identity):

@@ -322,7 +322,7 @@ def _audit_accept(verdict: CriterionVerdict, s: Identity):
                 raise RuntimeError(f"classes {i} and {j} feed each other")
 
 
-def _first_violation(stored, owner, order):
+def _first_violation(stored, order):
     """Tag the first failed condition for one candidate order."""
     position = {x: i for i, x in enumerate(order)}
     for idx, cl in enumerate(stored):
@@ -375,7 +375,7 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
     cycle = _find_cycle(edges)
     orders = []
     for order in itertools.permutations(active):
-        tag = _first_violation(stored, owner, order)
+        tag = _first_violation(stored, order)
         if tag is None:
             if cycle is None:
                 raise RuntimeError(

@@ -28,6 +28,7 @@ from .core import (
     validate,
 )
 from .errors import SizeGuardError, UsageError
+from .families import meet
 
 ID_OF_MAX_SIZE = 6
 ID_OF_MAX_GROUND = 10
@@ -129,16 +130,16 @@ def builtin_coloring(kind: str, **params) -> Coloring:
         if len(set(strings)) != len(strings):
             raise UsageError("sierpinski_meet strings must be distinct")
         if len(strings) > 16:
-            raise SizeGuardError("sierpinski_meet supports at most 16 strings")
+            raise SizeGuardError(
+                f"sierpinski_meet supports at most 16 strings, got {len(strings)}"
+            )
         strings.sort()
         table = {}
         decode = {}
         ids = {}
         for i, j in _pairs(len(strings)):
             x, y = strings[i], strings[j]
-            eps = 0
-            while eps < min(len(x), len(y)) and x[eps] == y[eps]:
-                eps += 1
+            eps = len(meet(x, y))
             prefixes = tuple(sorted((x[: eps + 1], y[: eps + 1])))
             agree = (x < y) == (i < j)
             key = (prefixes, agree)
@@ -300,9 +301,13 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     if max_size < 1:
         raise UsageError("max_size must be >= 1")
     if max_size > ID_OF_MAX_SIZE:
-        raise SizeGuardError(f"id_of supports max_size <= {ID_OF_MAX_SIZE}")
+        raise SizeGuardError(
+            f"id_of supports max_size <= {ID_OF_MAX_SIZE}, got {max_size}"
+        )
     if c.n_ground > ID_OF_MAX_GROUND:
-        raise SizeGuardError(f"id_of supports ground <= {ID_OF_MAX_GROUND}")
+        raise SizeGuardError(
+            f"id_of supports ground <= {ID_OF_MAX_GROUND}, got {c.n_ground}"
+        )
     if c.arity < 2:
         raise UsageError("id_of needs a pair layer in the coloring")
     found = set()
@@ -316,14 +321,12 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
                 v = c.table[(h[a], h[b])]
                 by.setdefault(v, []).append((1 << a) | (1 << b))
             partitions.add(frozenset(frozenset(v) for v in by.values()))
-        budget = ID_OF_OUTPUT_CAP
-        for part in partitions:
-            budget -= _refinement_count([list(b) for b in part])
-            if budget < 0:
-                raise SizeGuardError(
-                    "refinement expansion exceeds the output cap "
-                    f"({ID_OF_OUTPUT_CAP}); narrow max_size or the coloring"
-                )
+        work = sum(_refinement_count(part) for part in partitions)
+        if work > ID_OF_OUTPUT_CAP:
+            raise SizeGuardError(
+                f"refinement expansion at size {k} is {work} identities, over "
+                f"the output cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
+            )
         for part in partitions:
             blocks = [sorted(b) for b in part]
             per_block = [list(_set_partitions(b)) for b in blocks]

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from identity_lab.cli import _dump
+from identity_lab.closure import catalog_to_json
+
 CLI = shutil.which("identity-lab")
 
 
@@ -178,9 +181,10 @@ def test_catalog_member_flow(tmp_path, sk3_file):
     assert run("member", "--catalog", str(cat), "--in", sk3_file).returncode == 4
 
 
-def test_member_negative_on_missing_pattern(tmp_path):
+def test_member_negative_on_missing_pattern(tmp_path, cat6):
+    # the session's size-6 catalog, written as `catalog --max-size 6` writes it
     cat = tmp_path / "cat6.json"
-    assert run("catalog", "--max-size", "6", "--out", str(cat)).returncode == 0
+    cat.write_text(_dump(catalog_to_json(cat6)) + "\n", encoding="utf-8")
     sk3 = tmp_path / "sk3.json"
     sk3.write_text(json.dumps(report(run("builtin", "--family", "sk", "--k", "3", "--json"))["output"]))
     assert run("member", "--catalog", str(cat), "--in", str(sk3)).returncode == 3

@@ -1,5 +1,6 @@
 """Generation fixed point: the two operations, the catalog, provenance."""
 
+import hashlib
 import itertools
 import random
 
@@ -24,8 +25,61 @@ from identity_lab import (
     to_pairs,
     trivial,
 )
-from identity_lab.closure import _gpd
-from identity_lab.core import canonical_form, identity_from_subsets, mask_of
+from identity_lab.cli import _dump
+from identity_lab.closure import CatalogEntry
+from identity_lab.core import (
+    Identity,
+    canonical_form,
+    encoding,
+    identity_from_subsets,
+    mask_of,
+)
+
+CATALOG6_SHA256 = "6dd956271bd0f926b828d747255a723dea36805631b2d3528e905038369da069"
+
+
+def reference_catalog(max_n, flavor):
+    """Slow reference for the catalog BFS: every 3^|tail| assignment.
+
+    Each tail element of a split at m gets 0 (original kept), 1 (in
+    bset: original and copy kept) or 2 (in dset: only the copy kept);
+    all-zero assignments and those that overflow max_n are filtered out
+    after their sets are built.  Returns the entries dict in discovery
+    order.
+    """
+    root = Identity(1, flavor, frozenset())
+    entries = {root: CatalogEntry(root, ())}
+    frontier = [root]
+    while frontier:
+        discovered = []
+        for s in sorted(frontier, key=encoding):
+            n = s.n
+            produced = []
+            if n > 1:
+                for x in range(n):
+                    kept = tuple(y for y in range(n) if y != x)
+                    produced.append((restrict(s, kept), (("res", kept),)))
+            for m in range(n + 1):
+                tail = list(range(m, n))
+                doubled = duplicate(s, m)
+                for assign in itertools.product((0, 1, 2), repeat=len(tail)):
+                    bset = {tail[i] for i, a in enumerate(assign) if a == 1}
+                    dset = {tail[i] for i, a in enumerate(assign) if a == 2}
+                    if not bset and not dset or n + len(bset) > max_n:
+                        continue
+                    kept = tuple(
+                        [x for x in range(n) if x not in dset]
+                        + [n + (r - m) for r in sorted(bset | dset)]
+                    )
+                    produced.append(
+                        (restrict(doubled, kept), (("dup", m), ("res", kept)))
+                    )
+            for t, steps in produced:
+                if t not in entries:
+                    entries[t] = CatalogEntry(t, entries[s].trace + steps)
+                    discovered.append(t)
+        frontier = discovered
+    return entries
 
 
 class BucketIndex:
@@ -153,25 +207,17 @@ def test_restrict_then_duplicate_recovers(cat4):
             assert restrict(duplicate(s, m), range(s.n)) == s
 
 
-_CAT4_MEMBERS = generate_catalog(4).members()
+@pytest.mark.parametrize("flavor", ["pairs", "full"])
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
+def test_catalog_equals_reference_enumeration(max_n, flavor):
+    # same entries, same discovery order, same trace for every entry
+    got = list(generate_catalog(max_n, flavor).entries.items())
+    assert got == list(reference_catalog(max_n, flavor).items())
 
 
-@given(
-    data=st.data(),
-    idx=st.integers(min_value=0, max_value=len(_CAT4_MEMBERS) - 1),
-)
-def test_bounded_step_equals_duplicate_then_restrict(data, idx):
-    s = _CAT4_MEMBERS[idx]
-    m = data.draw(st.integers(min_value=0, max_value=s.n))
-    tail = list(range(m, s.n))
-    bset = set(data.draw(st.lists(st.sampled_from(tail), unique=True))) if tail else set()
-    dset = set(
-        data.draw(st.lists(st.sampled_from(sorted(set(tail) - bset)), unique=True))
-    ) if set(tail) - bset else set()
-    rset = sorted(bset | dset)
-    keep = [x for x in range(s.n) if x not in dset]
-    keep += [s.n + (r - m) for r in rset]
-    assert _gpd(s, m, bset, dset) == restrict(duplicate(s, m), keep)
+def test_catalog6_serialization_pinned(cat6):
+    text = _dump(catalog_to_json(cat6)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG6_SHA256
 
 
 def test_traces_replay(cat6):

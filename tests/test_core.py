@@ -129,6 +129,12 @@ def test_canonical_form_is_orbit_invariant(data, idx):
     assert canonical_form(permute(s, pi))[0] == canonical_form(s)[0]
 
 
+@pytest.mark.parametrize("pi", [(0, 0, 1), (0, 1), (0, 1, 2, 3)])
+def test_permute_rejects_non_permutations(pi):
+    with pytest.raises(UsageError):
+        permute(trivial(3), pi)
+
+
 def test_canonical_form_is_idempotent():
     for s in (s_k(3), s_prime_n(2), trivial(4)):
         canon, _ = canonical_form(s)

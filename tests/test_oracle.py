@@ -208,11 +208,18 @@ def test_unordered_id_of_is_the_canonical_closure_at_size_5():
 
 
 def test_id_of_guards():
+    # each guard error states the measured size next to the limit
     c = builtin_coloring("min_pair", n=5)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"max_size <= 6, got 7"):
         id_of(c, 7)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"ground <= 10, got 11"):
         id_of(builtin_coloring("min_pair", n=11), 3)
+    # one 15-pair block at size 6: Bell(15) refinements
+    with pytest.raises(SizeGuardError, match=r"size 6 is 1382958545 .*cap 200000"):
+        id_of(builtin_coloring("constant", n=6), 6)
+    strings = [format(i, "05b") for i in range(17)]
+    with pytest.raises(SizeGuardError, match=r"at most 16 strings, got 17"):
+        builtin_coloring("sierpinski_meet", strings=strings)
 
 
 def test_arrow_check_frozen_example():
