@@ -10,6 +10,8 @@ colorings.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Identity,
     Embedding,
@@ -62,51 +64,8 @@ from .oracle import (
 )
 from .errors import SizeGuardError, UsageError
 
-__all__ = [
-    "Identity",
-    "Embedding",
-    "LabeledIdentity",
-    "Catalog",
-    "CatalogEntry",
-    "CriterionVerdict",
-    "Coloring",
-    "Realization",
-    "SimplifyError",
-    "SizeGuardError",
-    "UsageError",
-    "arrow_check",
-    "builtin_coloring",
-    "canonical_form",
-    "catalog_from_json",
-    "catalog_to_json",
-    "check",
-    "coloring_from_json",
-    "coloring_to_json",
-    "duplicate",
-    "embeds",
-    "explain",
-    "from_json",
-    "generate_catalog",
-    "id_of",
-    "identity_from_subsets",
-    "is_meet_respecting",
-    "max_meet_identity",
-    "meet",
-    "member_of_catalog",
-    "normalize_vertex_colors",
-    "order_forcing_extension",
-    "permute",
-    "product_coloring",
-    "realizes",
-    "replay_trace",
-    "restrict",
-    "s_doubleprime_n",
-    "s_k",
-    "s_prime_n",
-    "simplify_k",
-    "to_json",
-    "to_pairs",
-    "trivial",
-    "trivial_full",
-    "validate",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -95,23 +95,18 @@ def _require(value, flag: str, fam: str):
 
 def _cmd_builtin(args):
     fam = args.family
-    if fam == "trivial":
-        ident = trivial(_require(args.n, "--n", fam))
-    elif fam == "sk":
-        ident = s_k(_require(args.k, "--k", fam))
-    elif fam == "sprime":
-        ident = s_prime_n(_require(args.n, "--n", fam))
-    elif fam == "sdoubleprime":
-        ident = s_doubleprime_n(_require(args.n, "--n", fam))
-    elif fam == "max-meet":
+    if fam == "max-meet":
         labeled = max_meet_identity(_require(args.len, "--len", fam))
         d = to_json(labeled.base)
         d["labels"] = {str(i): lab for i, lab in enumerate(labeled.labels)}
-        _emit(args, [_dump(d).encode()], d, [_dump(d)])
-        return EXIT_OK
     else:
-        raise UsageError(f"unknown family {fam!r}")
-    d = to_json(ident)
+        make, flag, value = {
+            "trivial": (trivial, "--n", args.n),
+            "sk": (s_k, "--k", args.k),
+            "sprime": (s_prime_n, "--n", args.n),
+            "sdoubleprime": (s_doubleprime_n, "--n", args.n),
+        }[fam]  # argparse admits only these choices
+        d = to_json(make(_require(value, flag, fam)))
     _emit(args, [_dump(d).encode()], d, [_dump(d)])
     return EXIT_OK
 

@@ -19,11 +19,21 @@ keeps only the copy.  It is one duplicate followed by one restrict, so
 provenance traces replay through the two public operations.  Only the
 fates that fit are enumerated: at least one nonzero fate, and at most
 N - n ones, so a size-N parent draws its fates from {0, 2} alone.
+
+The BFS runs neither operation.  A pairs (full) identity is a set
+partition of its slots, the C(n,2) pairs (2^n subsets) in ``_domain_masks``
+order, keyed by first occurrence: slot i carries the index of the first
+slot in its class, a key that is canonical per partition.  Every step
+sends each child slot to one parent slot or to a fresh singleton, so it
+is a fixed slot map, built once per parent size; a child's key is the
+parent's key gathered through the map and renormalized.  Only a new key
+becomes an ``Identity``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -39,7 +49,9 @@ from .core import (
 )
 from .errors import SizeGuardError, UsageError
 
-GENERATION_BOUND = 8  # catalog sizes beyond this are out of tested range
+# catalog(7) has 204,794 entries and took 305 s and 260 MB to build on a
+# 2-core host; extrapolated, size 8 would run for hours and exhaust memory
+GENERATION_BOUND = 7
 
 
 def duplicate(s: Identity, m: int) -> Identity:
@@ -139,18 +151,72 @@ class Catalog:
         return list(self.entries)
 
 
+def _slots(n: int, flavor: str) -> list:
+    """The slots of a size-n identity: its domain masks, in order."""
+    return _domain_masks(Identity(n, flavor, frozenset()))
+
+
+def _generation_steps(n: int, max_n: int, flavor: str):
+    """The generation steps out of size n, in enumeration order.
+
+    Returns ``(fresh, steps)`` with steps ``(trace, size, gather)``; a drop
+    is the split at m = n, where duplication is the no-op.  Child slot c
+    lifts through ``kept`` to a mask M on the doubled ground, whose parent
+    slot is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a
+    fresh singleton.  ``gather(key + fresh)`` is the child's raw labels.
+    """
+    slots = _slots(n, flavor)
+    index = {b: i for i, b in enumerate(slots)}
+    splits = [(n, tuple(y for y in range(n) if y != x)) for x in range(n if n > 1 else 0)]
+    fates = (0, 2) if n == max_n else (0, 1, 2)
+    for m in range(n):
+        for fate in itertools.product(fates, repeat=n - m):
+            if any(fate) and fate.count(1) <= max_n - n:
+                splits.append((m, tuple(
+                    [x for x in range(n) if x < m or fate[x - m] != 2]
+                    + [n + i for i, f in enumerate(fate) if f])))
+    steps, width = [], len(slots)
+    for m, kept in splits:
+        idx, fresh = [], len(slots)
+        for c in _slots(len(kept), flavor):
+            M = permute_mask(c, kept)
+            if M >> n == 0:
+                idx.append(index[M])
+            elif M >> m & ((1 << (n - m)) - 1) == 0:
+                idx.append(index[M & ((1 << m) - 1) | M >> n << m])
+            else:
+                idx.append(fresh)
+                fresh += 1
+        width = max(width, fresh)
+        # itemgetter needs an index, and with one it returns a bare item
+        gather = (operator.itemgetter(*idx) if len(idx) > 1
+                  else lambda key, idx=idx: tuple(key[i] for i in idx))
+        trace = (("res", kept),) if m == n else (("dup", m), ("res", kept))
+        steps.append((trace, len(kept), gather))
+    return tuple(range(len(slots), width)), steps
+
+
+def _identity_of(key: tuple, n: int, flavor: str, shared: dict) -> Identity:
+    """Size-n identity with slot labels ``key``; classes interned in ``shared``."""
+    groups = {}
+    for b, label in zip(_slots(n, flavor), key):
+        groups.setdefault(label, []).append(b)
+    classes = (frozenset(g) for g in groups.values() if len(g) >= 2)
+    return Identity(n, flavor, frozenset(shared.setdefault(c, c) for c in classes))
+
+
 def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     """All identities of size <= max_n reachable by duplicate/restrict.
 
-    Breadth-first fixed point from the 1-element identity, using the
-    bounded generation steps described in the module docstring.  Each
-    frontier member, in ``encoding`` order, produces its single-element
-    drops, then for m = 0..n-1 its fate tuples in lexicographic order, and
-    the first step to reach an identity gives its trace.  Leaving out the
-    fates that do not fit keeps the lexicographic order of the rest, so
-    traces and entry order equal those of a walk over every 3^(n-m)
-    assignment that filters afterwards.  Traces are minimal-depth and
-    replay through the two public operations.
+    Breadth-first fixed point from the 1-element identity over the bounded
+    steps of the module docstring.  Each frontier member, in ``encoding``
+    order, takes its drops, then for m = 0..n-1 its fitting fate tuples in
+    lexicographic order (the order of a walk over all 3^(n-m) of them),
+    and the first step to reach an identity gives its trace: minimal-depth
+    and replayable through the two public operations.  Steps run on slot
+    keys: the parent's first-occurrence key is gathered through the step's
+    slot map, built once per size, and renormalized with ``raw.index``;
+    only a key not seen before becomes an ``Identity``.
     """
     if max_n < 1:
         raise UsageError(f"catalog bound must be >= 1, got {max_n}")
@@ -160,38 +226,24 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
         )
     if flavor not in ("pairs", "full"):
         raise UsageError(f"catalog flavor must be pairs or full, got {flavor!r}")
+    table = {n: _generation_steps(n, max_n, flavor) for n in range(1, max_n + 1)}
     root = Identity(1, flavor, frozenset())
     entries = {root: CatalogEntry(root, ())}
-    frontier = [root]
+    key = tuple(range(len(_slots(1, flavor))))  # every slot in its own class
+    frontier, seen, shared = [(root, key)], {key}, {}
     while frontier:
         discovered = []
-        for s in sorted(frontier, key=encoding):
-            base = entries[s].trace
-            n = s.n
-            produced = []
-            if n > 1:
-                for x in range(n):
-                    kept = tuple(y for y in range(n) if y != x)
-                    produced.append(
-                        (restrict(s, kept), (("res", kept),))
-                    )
-            fates = (0, 2) if n == max_n else (0, 1, 2)
-            for m in range(n):
-                doubled = duplicate(s, m)
-                for fate in itertools.product(fates, repeat=n - m):
-                    if not any(fate) or fate.count(1) > max_n - n:
-                        continue
-                    kept = tuple(
-                        [x for x in range(n) if x < m or fate[x - m] != 2]
-                        + [n + i for i, f in enumerate(fate) if f]
-                    )
-                    produced.append(
-                        (restrict(doubled, kept), (("dup", m), ("res", kept)))
-                    )
-            for t, steps in produced:
-                if t not in entries:
-                    entries[t] = CatalogEntry(t, base + steps)
-                    discovered.append(t)
+        for s, key in sorted(frontier, key=lambda item: encoding(item[0])):
+            fresh, steps = table[s.n]
+            padded, base = key + fresh, entries[s].trace
+            for trace, n, gather in steps:
+                raw = gather(padded)
+                child = tuple(map(raw.index, raw))
+                if child not in seen:
+                    seen.add(child)
+                    t = _identity_of(child, n, flavor, shared)
+                    entries[t] = CatalogEntry(t, base + trace)
+                    discovered.append((t, child))
         frontier = discovered
     return Catalog(max_n, flavor, entries)
 

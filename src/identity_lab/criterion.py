@@ -162,6 +162,17 @@ def _ranks(stored, edges):
     return rank
 
 
+def _endpoints(cl, position):
+    """Left and right endpoint sets of a class under an order's positions."""
+    a0, a1 = set(), set()
+    for b in cl:
+        i, j = elems_of(b)
+        lo, hi = (i, j) if position[i] < position[j] else (j, i)
+        a0.add(lo)
+        a1.add(hi)
+    return a0, a1
+
+
 def _order_search(stored, active):
     """Lex-least order of the active elements passing (i)+(ii), or None.
 
@@ -248,15 +259,9 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
     order = tuple(order_active) + tuple(inactive)
     rank = _ranks(stored, edges)
     posn = {x: i for i, x in enumerate(order)}
-    endpoints = []
-    for cl in stored:
-        a0, a1 = set(), set()
-        for b in cl:
-            i, j = elems_of(b)
-            lo, hi = (i, j) if posn[i] < posn[j] else (j, i)
-            a0.add(lo)
-            a1.add(hi)
-        endpoints.append((tuple(sorted(a0)), tuple(sorted(a1))))
+    endpoints = [
+        tuple(tuple(sorted(side)) for side in _endpoints(cl, posn)) for cl in stored
+    ]
     class_ranks = tuple(rank.get(i, 0) for i in range(len(stored)))
     pair_ranks = tuple(
         sorted(
@@ -326,12 +331,7 @@ def _first_violation(stored, order):
     """Tag the first failed condition for one candidate order."""
     position = {x: i for i, x in enumerate(order)}
     for idx, cl in enumerate(stored):
-        a0, a1 = set(), set()
-        for b in cl:
-            i, j = elems_of(b)
-            lo, hi = (i, j) if position[i] < position[j] else (j, i)
-            a0.add(lo)
-            a1.add(hi)
+        a0, a1 = _endpoints(cl, position)
         both = a0 & a1
         if both:
             return f"class {idx}: element {min(both)} is both a left and a right endpoint"

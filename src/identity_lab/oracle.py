@@ -16,6 +16,7 @@ class, rather than by a second enumeration over all injections.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -134,25 +135,16 @@ def builtin_coloring(kind: str, **params) -> Coloring:
                 f"sierpinski_meet supports at most 16 strings, got {len(strings)}"
             )
         strings.sort()
-        table = {}
-        decode = {}
-        ids = {}
+        raw = {}
         for i, j in _pairs(len(strings)):
             x, y = strings[i], strings[j]
             eps = len(meet(x, y))
             prefixes = tuple(sorted((x[: eps + 1], y[: eps + 1])))
-            agree = (x < y) == (i < j)
-            key = (prefixes, agree)
-            if key not in ids:
-                ids[key] = len(ids)
-                decode[ids[key]] = {"prefixes": list(prefixes), "agree": agree}
-            table[(i, j)] = ids[key]
-        return Coloring(
-            len(strings),
-            2,
-            table,
-            len(ids),
-            {"labels": strings, "decode": decode},
+            raw[(i, j)] = (prefixes, (x < y) == (i < j))
+        return _packed(
+            len(strings), raw,
+            lambda key: {"prefixes": list(key[0]), "agree": key[1]},
+            {"labels": strings},
         )
     if kind == "constant":
         if n < 1:
@@ -170,6 +162,15 @@ def builtin_coloring(kind: str, **params) -> Coloring:
     raise UsageError(f"unknown builtin coloring {kind!r}")
 
 
+def _packed(n: int, raw: dict, describe, meta: dict) -> Coloring:
+    """Pair coloring with the values of ``raw`` numbered densely by first
+    occurrence; ``meta["decode"]`` maps each number to ``describe(value)``."""
+    ids = {}
+    table = {p: ids.setdefault(v, len(ids)) for p, v in raw.items()}
+    decode = {i: describe(v) for v, i in ids.items()}
+    return Coloring(n, 2, table, len(ids), {**meta, "decode": decode})
+
+
 def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     """Compose two pair colorings into their product.
 
@@ -179,16 +180,8 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     """
     if c1.n_ground != c2.n_ground:
         raise UsageError("product needs colorings on the same ground set")
-    ids = {}
-    decode = {}
-    table = {}
-    for p in _pairs(c1.n_ground):
-        key = (c1.table[p], c2.table[p])
-        if key not in ids:
-            ids[key] = len(ids)
-            decode[ids[key]] = list(key)
-        table[p] = ids[key]
-    return Coloring(c1.n_ground, 2, table, len(ids), {"decode": decode})
+    raw = {p: (c1.table[p], c2.table[p]) for p in _pairs(c1.n_ground)}
+    return _packed(c1.n_ground, raw, list, {})
 
 
 @dataclass(frozen=True)
@@ -270,10 +263,7 @@ _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
 
 
 def _refinement_count(blocks) -> int:
-    out = 1
-    for b in blocks:
-        out *= _BELL[len(b)]
-    return out
+    return math.prod(_BELL[len(b)] for b in blocks)
 
 
 def id_of(c: Coloring, max_size: int, ordered: bool = False):
@@ -294,8 +284,8 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     Hard guards: max_size <= 6, ground <= 10, and, for each size, the
     refinement expansion of the ordered enumeration (the product of Bell
     numbers of the block sizes, summed over the distinct induced
-    partitions) is counted before expanding and capped at
-    ID_OF_OUTPUT_CAP in both modes.  Exceeding the cap is an error, never
+    partitions) is capped at ID_OF_OUTPUT_CAP in both modes; every size
+    is counted before any size is expanded.  Exceeding the cap is an error, never
     a truncation.
     """
     if max_size < 1:
@@ -310,7 +300,7 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
         )
     if c.arity < 2:
         raise UsageError("id_of needs a pair layer in the coloring")
-    found = set()
+    induced = []  # every size is counted against the cap before any expands
     for k in range(1, min(max_size, c.n_ground) + 1):
         kp = list(_pairs(k))
         partitions = set()
@@ -327,6 +317,9 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
                 f"refinement expansion at size {k} is {work} identities, over "
                 f"the output cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
             )
+        induced.append((k, partitions))
+    found = set()
+    for k, partitions in induced:
         for part in partitions:
             blocks = [sorted(b) for b in part]
             per_block = [list(_set_partitions(b)) for b in blocks]

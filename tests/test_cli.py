@@ -127,6 +127,7 @@ def test_usage_errors_exit_2(tmp_path):
         {"max_n": 6, "entries": 5},
         {"max_n": "x", "entries": []},
         {"max_n": 0, "entries": []},
+        {"max_n": 8, "entries": []},
         {"max_n": 9, "entries": []},
         {"max_n": 6, "flavor": "partial", "entries": []},
         {"max_n": 1, "entries": [entry]},  # entry larger than max_n
@@ -145,7 +146,9 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_size_guards_exit_4(tmp_path):
-    assert run("catalog", "--max-size", "9", "--out", str(tmp_path / "x.json")).returncode == 4
+    for size in ("8", "9"):
+        proc = run("catalog", "--max-size", size, "--out", str(tmp_path / "x.json"))
+        assert proc.returncode == 4 and "Traceback" not in proc.stderr
     assert run("builtin", "--family", "sdoubleprime", "--n", "4").returncode == 4
 
     # ground sizes above the input bound are refused before any pair table

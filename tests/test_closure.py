@@ -26,9 +26,10 @@ from identity_lab import (
     trivial,
 )
 from identity_lab.cli import _dump
-from identity_lab.closure import CatalogEntry
+from identity_lab.closure import CatalogEntry, _generation_steps, _identity_of
 from identity_lab.core import (
     Identity,
+    _domain_masks,
     canonical_form,
     encoding,
     identity_from_subsets,
@@ -80,6 +81,54 @@ def reference_catalog(max_n, flavor):
                     discovered.append(t)
         frontier = discovered
     return entries
+
+
+def restrict_catalog(max_n, flavor):
+    """Reference for the slot-key BFS: the same walk on identities.
+
+    Every step runs ``duplicate`` and ``restrict`` and is deduplicated by
+    the resulting ``Identity``; only the fates that fit are enumerated, in
+    the same order as ``generate_catalog``.  Returns the entries dict in
+    discovery order.
+    """
+    root = Identity(1, flavor, frozenset())
+    entries = {root: CatalogEntry(root, ())}
+    frontier = [root]
+    while frontier:
+        discovered = []
+        for s in sorted(frontier, key=encoding):
+            n = s.n
+            produced = []
+            if n > 1:
+                for x in range(n):
+                    kept = tuple(y for y in range(n) if y != x)
+                    produced.append((restrict(s, kept), (("res", kept),)))
+            fates = (0, 2) if n == max_n else (0, 1, 2)
+            for m in range(n):
+                doubled = duplicate(s, m)
+                for fate in itertools.product(fates, repeat=n - m):
+                    if not any(fate) or fate.count(1) > max_n - n:
+                        continue
+                    kept = tuple(
+                        [x for x in range(n) if x < m or fate[x - m] != 2]
+                        + [n + i for i, f in enumerate(fate) if f]
+                    )
+                    produced.append(
+                        (restrict(doubled, kept), (("dup", m), ("res", kept)))
+                    )
+            for t, steps in produced:
+                if t not in entries:
+                    entries[t] = CatalogEntry(t, entries[s].trace + steps)
+                    discovered.append(t)
+        frontier = discovered
+    return entries
+
+
+def slot_key(s):
+    """First-occurrence slot key: slot i carries the index of the first
+    slot in its class, slots in ``_domain_masks`` order."""
+    masks = _domain_masks(s)
+    return tuple(min(map(masks.index, s.class_of(b) or (b,))) for b in masks)
 
 
 class BucketIndex:
@@ -187,8 +236,9 @@ def test_catalog_counts(cat4, cat6):
 
 
 def test_catalog_guard_and_usage():
-    with pytest.raises(SizeGuardError):
-        generate_catalog(9)
+    for max_n in (8, 9):
+        with pytest.raises(SizeGuardError, match=f"max_n <= 7, got {max_n}"):
+            generate_catalog(max_n)
     with pytest.raises(UsageError):
         generate_catalog(0)
     with pytest.raises(UsageError):
@@ -212,7 +262,25 @@ def test_restrict_then_duplicate_recovers(cat4):
 def test_catalog_equals_reference_enumeration(max_n, flavor):
     # same entries, same discovery order, same trace for every entry
     got = list(generate_catalog(max_n, flavor).entries.items())
+    assert got == list(restrict_catalog(max_n, flavor).items())
     assert got == list(reference_catalog(max_n, flavor).items())
+
+
+@pytest.mark.parametrize("max_n", [4, 6])
+@pytest.mark.parametrize("flavor", ["pairs", "full"])
+def test_generation_steps_equal_duplicate_then_restrict(cat4, flavor, max_n):
+    # every slot map, against the two operations it stands for
+    members = cat4 if flavor == "pairs" else generate_catalog(4, "full")
+    for s in members.members():
+        fresh, steps = _generation_steps(s.n, max_n, flavor)
+        for trace, size, gather in steps:
+            want = s
+            for op, arg in trace:
+                want = duplicate(want, arg) if op == "dup" else restrict(want, arg)
+            raw = gather(slot_key(s) + fresh)
+            key = tuple(map(raw.index, raw))
+            assert size == want.n and key == slot_key(want), (s, trace)
+            assert _identity_of(key, size, flavor, {}) == want, (s, trace)
 
 
 def test_catalog6_serialization_pinned(cat6):
