@@ -15,7 +15,9 @@ stored class is implicitly alone in its own class.
 Subsets are encoded as integer bitmasks (bit i set means element i is in
 the subset).  Public constructors and the JSON layer speak element tuples;
 the mask encoding is an internal uniformity that keeps relabeling and
-restriction cheap.
+restriction cheap.  ``first_injection`` is the one pruned injection search
+behind ``embeds`` and the oracle's realization and arrow questions; every
+node it visits counts against SEARCH_GUARD.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import SizeGuardError, UsageError
 FLAVORS = ("full", "partial", "pairs")
 
 CANONICAL_BOUND = 12  # brute-force relabeling bound; cost is factorial in n
+SEARCH_GUARD = 1 << 21  # nodes one first_injection search (or budget) may visit
 # Largest ground set accepted from input, checked before any C(n,2)
 # structure is built; s_doubleprime_n(3) has 72 elements.
 GROUND_BOUND = 72
@@ -279,50 +282,62 @@ def _class_id_map(s: Identity) -> dict:
     return ids
 
 
+def first_injection(n_src: int, n_tgt: int, ordered: bool, checks, budget=None):
+    """Lex-least injection of 0..n_src-1 into 0..n_tgt-1 (increasing when
+    ordered) passing every predicate in ``checks[d]``, which reads the
+    partial map h up to h[d] and runs once d is mapped, cutting the subtree
+    of a failing prefix.  Each candidate placed spends a node of ``budget``,
+    a one-item list searches may share (SEARCH_GUARD if None); running out
+    raises SizeGuardError.  Returns a tuple or None."""
+    budget = [SEARCH_GUARD] if budget is None else budget
+    h = []
+
+    def extend(d):
+        if d == n_src:
+            return True
+        for t in range(h[-1] + 1 if ordered and h else 0, n_tgt):
+            if t in h:
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SizeGuardError(f"injection search of {n_src} into {n_tgt} passed "
+                                     f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {d}")
+            h.append(t)
+            if all(ok(h) for ok in checks[d]) and extend(d + 1):
+                return True
+            h.pop()
+        return False
+
+    return tuple(h) if extend(0) else None
+
+
 def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     """Search for an injection h with (b e c) iff (h''b e h''c).
 
-    The search is a total exhaustive scan over all injections (increasing
-    injections when ordered), so cost grows as n_tgt!/(n_tgt-n_src)!.
-    Returns the first witness in lex order, or None.
-    """
-    if src.flavor != tgt.flavor:
-        if src.flavor == "pairs":
-            tgt = to_pairs(tgt)
-        else:
-            raise UsageError(
-                f"cannot embed flavor {src.flavor!r} into flavor {tgt.flavor!r}"
-            )
-    if src.n > tgt.n:
+    One ``first_injection`` search: each domain subset's image lies in the
+    target domain (checked at its top element), and two equal-size subsets
+    are equivalent iff their images are (checked at the top of their
+    union).  The empty set maps to itself, so it is checked up front.
+    Returns the first witness in lex order, or None."""
+    if src.flavor == "pairs":
+        tgt = to_pairs(tgt)
+    elif src.flavor != tgt.flavor:
+        raise UsageError(
+            f"cannot embed flavor {src.flavor!r} into flavor {tgt.flavor!r}"
+        )
+    src_ids, tgt_ids = _class_id_map(src), _class_id_map(tgt)
+    if src.n > tgt.n or 0 in src_ids and 0 not in tgt_ids:
         return None
-    src_dom = _domain_masks(src)
-    src_ids = _class_id_map(src)
-    tgt_ids = _class_id_map(tgt)
-    same_src = {}
-    pairs_of_subsets = list(itertools.combinations(src_dom, 2))
-    for b, c in pairs_of_subsets:
-        same_src[(b, c)] = src_ids[b] == src_ids[c]
-    gen = (
-        itertools.combinations(range(tgt.n), src.n)
-        if ordered
-        else itertools.permutations(range(tgt.n), src.n)
-    )
-    for h in gen:
-        ok = True
-        for b, c in pairs_of_subsets:
-            hb = permute_mask(b, h)
-            hc = permute_mask(c, h)
-            tb = tgt_ids.get(hb)
-            tc = tgt_ids.get(hc)
-            if tb is None or tc is None:
-                ok = False  # image leaves the target domain
-                break
-            if (tb == tc) != same_src[(b, c)]:
-                ok = False
-                break
-        if ok:
-            return Embedding(h, ordered)
-    return None
+    checks = [[] for _ in range(src.n)]
+    for b in filter(None, src_ids):
+        checks[b.bit_length() - 1].append(lambda h, b=b: permute_mask(b, h) in tgt_ids)
+    for b, c in itertools.combinations(_domain_masks(src), 2):
+        if b.bit_count() == c.bit_count():  # else neither side is equal
+            same = src_ids[b] == src_ids[c]
+            checks[(b | c).bit_length() - 1].append(lambda h, b=b, c=c, same=same: (
+                tgt_ids[permute_mask(b, h)] == tgt_ids[permute_mask(c, h)]) == same)
+    h = first_injection(src.n, tgt.n, ordered, checks)
+    return None if h is None else Embedding(h, ordered)
 
 
 def to_pairs(s: Identity) -> Identity:

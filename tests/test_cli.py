@@ -159,13 +159,17 @@ def test_size_guards_exit_4(tmp_path):
     assert "3000" in proc.stderr and "72" in proc.stderr
     ident = tmp_path / "trivial2.json"
     ident.write_text(json.dumps({"n": 2, "flavor": "pairs", "classes": []}))
-    for desc, shown in (
-        ({"builtin": "min_pair", "n": 3000}, "3000"),
-        ({"builtin": "sierpinski_meet", "len": 40}, "40"),
+    sk4 = tmp_path / "sk4.json"
+    sk4.write_text(json.dumps(report(run("builtin", "--family", "sk", "--k", "4", "--json"))["output"]))
+    for desc, shown, s in (
+        ({"builtin": "min_pair", "n": 3000}, "3000", ident),
+        ({"builtin": "sierpinski_meet", "len": 40}, "40", ident),
+        # the injection search's node guard, 2**21
+        ({"builtin": "min_pair", "n": 16}, "2097152", sk4),
     ):
         col = tmp_path / "big_col.json"
         col.write_text(json.dumps(desc))
-        proc = run("oracle", "--coloring", str(col), "--identity", str(ident))
+        proc = run("oracle", "--coloring", str(col), "--identity", str(s))
         assert proc.returncode == 4, desc
         assert shown in proc.stderr and "Traceback" not in proc.stderr
 
@@ -200,6 +204,21 @@ def test_oracle_flow(tmp_path, sk3_file, trivial5_file):
     proc = run("oracle", "--coloring", str(col), "--identity", trivial5_file, "--ordered")
     assert proc.returncode == 0
     assert "embedding" in proc.stdout
+
+
+def test_coloring_kind_key_is_ignored(tmp_path):
+    # "kind" is a stray key like any other, not a second builtin name
+    outs = []
+    for i, desc in enumerate((
+        {"builtin": "min_pair", "n": 4},
+        {"builtin": "min_pair", "kind": 1, "n": 4},
+    )):
+        col = tmp_path / f"kind{i}.json"
+        col.write_text(json.dumps(desc))
+        proc = run("oracle", "--coloring", str(col), "--list", "--max-size", "3")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_oracle_list(tmp_path):

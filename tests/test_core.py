@@ -1,5 +1,7 @@
 """Ground-type plumbing: masks, validation, relabeling, embeddings, JSON."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,40 @@ from identity_lab import (
     trivial_full,
     validate,
 )
-from identity_lab.core import all_pair_masks, elems_of, encoding, mask_of
+from identity_lab.closure import generate_catalog
+from identity_lab.core import (
+    _class_id_map,
+    _domain_masks,
+    all_pair_masks,
+    elems_of,
+    encoding,
+    mask_of,
+    permute_mask,
+)
+
+
+def brute_embeds(src, tgt, ordered=False):
+    """Slow oracle for ``embeds``: scan every injection (increasing ones
+    when ordered) in lex order against every pair of domain subsets."""
+    if src.flavor != tgt.flavor:
+        tgt = to_pairs(tgt)
+    if src.n > tgt.n:
+        return None
+    src_ids, tgt_ids = _class_id_map(src), _class_id_map(tgt)
+    pairs = list(itertools.combinations(_domain_masks(src), 2))
+    gen = (itertools.combinations if ordered else itertools.permutations)(
+        range(tgt.n), src.n
+    )
+    for h in gen:
+        if all(
+            tgt_ids.get(permute_mask(b, h)) is not None
+            and tgt_ids.get(permute_mask(c, h)) is not None
+            and (src_ids[b] == src_ids[c])
+            == (tgt_ids[permute_mask(b, h)] == tgt_ids[permute_mask(c, h)])
+            for b, c in pairs
+        ):
+            return Embedding(h, ordered)
+    return None
 
 
 def test_mask_round_trip():
@@ -171,6 +206,37 @@ def test_embeds_requires_the_pattern_both_ways():
     # themselves, so the all-singleton triple embeds right at the start
     w = embeds(trivial(3), s_k(3))
     assert w is not None and w.map == (0, 1, 2)
+
+
+def _partial(n, classes, domain):
+    return identity_from_subsets(n, "partial", classes, domain)
+
+
+# partial identities; the first, third and fifth hold the empty set
+PARTIALS = [
+    _partial(3, [[[0], [1]]], [[], [0], [1], [0, 1]]),
+    _partial(4, [[[0, 1], [2, 3]]], [[0], [1], [2], [3], [0, 1], [2, 3]]),
+    _partial(4, [[[0], [1]], [[0, 1], [2, 3]]],
+             [[], [0], [1], [2], [3], [0, 1], [2, 3]]),
+    _partial(3, [[[0], [2]]], [[0], [1], [2]]),
+    _partial(2, [], [[], [0], [1]]),
+    _partial(2, [], [[0], [1]]),
+]
+
+
+def test_embeds_matches_brute_force(cat4):
+    pool = [trivial(3), trivial(5), s_k(3), s_prime_n(2)]
+    full = generate_catalog(4, "full").members() + [trivial_full(5)]
+    cases = [(s, t) for s in cat4.members() for t in pool + full]
+    cases += [(s, t) for s in full for t in full]
+    cases += [(s, t) for s in PARTIALS for t in PARTIALS]
+    for src, tgt in cases:
+        for ordered in (False, True):
+            assert embeds(src, tgt, ordered) == brute_embeds(src, tgt, ordered), (
+                to_json(src), to_json(tgt), ordered)
+    # the empty set maps to itself, so it needs the empty set in the target
+    assert embeds(PARTIALS[4], PARTIALS[5]) is None
+    assert embeds(PARTIALS[4], PARTIALS[2]) == Embedding((0, 2), False)
 
 
 def test_ordered_embedding_must_increase():

@@ -1,6 +1,7 @@
 """Brute-force ground truth: colorings, realization search, arrow checks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,16 +22,18 @@ from identity_lab import (
     realizes,
     restrict,
     s_k,
+    to_json,
     trivial,
 )
 from identity_lab.core import (
     Identity,
     canonical_form,
+    elems_of,
     encoding,
     identity_from_subsets,
     mask_of,
 )
-from identity_lab.oracle import Coloring
+from identity_lab.oracle import Coloring, Realization
 
 
 def _set_partitions(items):
@@ -43,6 +46,41 @@ def _set_partitions(items):
         yield [[first]] + part
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def brute_realizes(c, s, ordered):
+    """Slow oracle for ``realizes``: scan every injection (increasing ones
+    when ordered) in lex order; the first one making each class
+    monochromatic is the witness."""
+    classes = [[elems_of(b) for b in cl] for cl in s.class_list()]
+    gen = (itertools.combinations if ordered else itertools.permutations)(
+        range(c.n_ground), s.n
+    )
+    for h in gen:
+        colors = [{c.pair(h[a], h[b]) for a, b in cl} for cl in classes]
+        if all(len(v) == 1 for v in colors):
+            return Realization(h, ordered, tuple(v.pop() for v in colors))
+    return None
+
+
+def brute_arrow(N, s, num_colors):
+    """Slow oracle for ``arrow_check``: every coloring of the pairs of
+    0..N-1, each scanned against the pair slots of every injection."""
+    if s.n > N:
+        return False
+    index = {p: i for i, p in enumerate(itertools.combinations(range(N), 2))}
+    classes = [[elems_of(b) for b in cl] for cl in s.class_list()]
+    slot_sets = [
+        [[index[tuple(sorted((h[a], h[b])))] for a, b in cl] for cl in classes]
+        for h in itertools.permutations(range(N), s.n)
+    ]
+    for colors in itertools.product(range(num_colors), repeat=len(index)):
+        if not any(
+            all(len({colors[i] for i in cl}) == 1 for cl in slots)
+            for slots in slot_sets
+        ):
+            return False
+    return True
 
 
 def brute_unordered_id_of(c, max_size):
@@ -233,10 +271,52 @@ def test_arrow_check_negative():
     assert arrow_check(3, s, 3) is False
 
 
+TRIANGLE = identity_from_subsets(3, "pairs", [[[0, 1], [0, 2], [1, 2]]])
+CHERRY = identity_from_subsets(3, "pairs", [[[0, 1], [0, 2]]])
+
+
 def test_arrow_check_guard():
-    s = trivial(3)
-    with pytest.raises(SizeGuardError):
-        arrow_check(6, s, 3)  # 3 ** 15 colorings is over the cap
+    # no class to make monochromatic: the first injection is a hit at the root
+    assert arrow_check(6, trivial(3), 3) is True
+    # every injection search of one call draws on one shared node budget
+    with pytest.raises(SizeGuardError, match="2097152"):
+        arrow_check(9, TRIANGLE, 2)
+
+
+def test_arrow_check_ramsey_anchor():
+    # R(3,3) = 6 (Greenwood & Gleason, 1955)
+    assert [arrow_check(N, TRIANGLE, 2) for N in (5, 6, 7, 8)] == [
+        False, True, True, True
+    ]
+    # K5 has chromatic index 5, so 4 colors force two touching equal pairs
+    assert arrow_check(5, CHERRY, 4) is True
+
+
+def test_arrow_check_matches_brute_force(cat4):
+    for N in range(1, 7):
+        for colors in range(1, 7):
+            if colors ** (N * (N - 1) // 2) > 1 << 16:
+                continue
+            for s in cat4.members():
+                assert arrow_check(N, s, colors) == brute_arrow(N, s, colors), (
+                    N, colors, to_json(s))
+
+
+def test_realizes_matches_brute_force():
+    # id_of of a constant coloring is every pairs pattern up to that size
+    patterns = id_of(builtin_coloring("constant", n=3), 3, ordered=True)
+    patterns.append(s_k(3))
+    for seed in range(40):
+        rng = random.Random(seed)
+        c = builtin_coloring(
+            "random", n=rng.randint(3, 7), colors=rng.randint(1, 3), seed=seed
+        )
+        for s in patterns:
+            if s.n > c.n_ground:
+                continue
+            for ordered in (False, True):
+                assert realizes(c, s, ordered) == brute_realizes(c, s, ordered), (
+                    seed, to_json(s), ordered)
 
 
 def test_product_coloring_realization_implies_both_factors():
@@ -252,8 +332,6 @@ def test_product_coloring_realization_implies_both_factors():
             for cl in s.class_list():
                 seen = set()
                 for m in cl:
-                    from identity_lab.core import elems_of
-
                     x, y = (h[t] for t in elems_of(m))
                     seen.add(c.table[(x, y) if x < y else (y, x)])
                 assert len(seen) == 1
