@@ -49,7 +49,11 @@ def _dump(obj) -> str:
 def _read_json(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data.decode("utf-8")), data
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+    return json.loads(text), data
 
 
 def _report(args, digest_parts, output) -> str:
@@ -169,13 +173,9 @@ def _cmd_oracle(args):
     coloring = coloring_from_json(col_raw)
     if args.list:
         idents = id_of(coloring, args.max_size, ordered=args.ordered)
-        out = {"identities": [to_json(s) for s in idents]}
-        _emit(
-            args,
-            [col_data],
-            out,
-            [_dump(to_json(s)) for s in idents],
-        )
+        docs = [to_json(s) for s in idents]
+        # the text lines are rendered lazily: with --json they never are
+        _emit(args, [col_data], {"identities": docs}, map(_dump, docs))
         return EXIT_OK
     if not args.identity:
         raise UsageError("oracle needs --identity or --list")

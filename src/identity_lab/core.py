@@ -22,6 +22,7 @@ node it visits counts against SEARCH_GUARD.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -52,16 +53,15 @@ def mask_of(elems) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def elems_of(mask: int) -> tuple:
-    """Sorted tuple of elements of a subset bitmask."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    """Sorted tuple of elements of a subset bitmask.
+
+    Encodings and reports decode the same few masks again and again (the
+    4,096 subsets of 12 elements, or the 2,556 pairs of 72, fit the
+    cache), so each decode is a lookup after the first.
+    """
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def all_pair_masks(n: int) -> list:
@@ -228,13 +228,16 @@ def _relabel(s: Identity, pi: tuple) -> Identity:
 
 
 def encoding(s: Identity) -> tuple:
-    """Deterministic nested-tuple encoding used for ordering and canon."""
-    cls = tuple(
-        tuple(elems_of(b) for b in cl) for cl in s.class_list()
-    )
+    """Deterministic nested-tuple encoding used for ordering and canon.
+
+    Classes are element tuples, sorted within each class and then by their
+    least subset: stored classes are disjoint, so their least subsets
+    differ and this is the ``class_list`` order.
+    """
+    cls = tuple(sorted(tuple(sorted(map(elems_of, c))) for c in s.classes))
     dom = None
     if s.domain is not None:
-        dom = tuple(sorted(elems_of(b) for b in s.domain))
+        dom = tuple(sorted(map(elems_of, s.domain)))
     return (s.n, s.flavor, cls, dom)
 
 
@@ -369,17 +372,12 @@ def to_json(s: Identity) -> dict:
 
     Subsets are ascending element lists, each class's subsets are sorted,
     and classes are sorted by their least subset, so the output is unique
-    per structure.
+    per structure: the order of ``encoding``.
     """
-    d = {
-        "n": s.n,
-        "flavor": s.flavor,
-        "classes": [
-            [list(elems_of(b)) for b in cl] for cl in s.class_list()
-        ],
-    }
-    if s.domain is not None:
-        d["domain"] = sorted([list(elems_of(b)) for b in s.domain])
+    n, flavor, cls, dom = encoding(s)
+    d = {"n": n, "flavor": flavor, "classes": [list(map(list, cl)) for cl in cls]}
+    if dom is not None:
+        d["domain"] = list(map(list, dom))
     return d
 
 

@@ -311,17 +311,19 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
         induced.append((k, partitions))
     found = set()
     for k, partitions in induced:
+        # each block's refinements become class frozensets once; equal
+        # classes share one object, and each distinct relation is kept once
+        relations, shared = set(), {}
         for part in partitions:
-            blocks = [sorted(b) for b in part]
-            per_block = [list(_set_partitions(b)) for b in blocks]
+            per_block = [
+                [tuple(shared.setdefault(cl, cl)
+                       for cl in map(frozenset, sub) if len(cl) >= 2)
+                 for sub in _set_partitions(sorted(b))]
+                for b in part
+            ]
             for combo in itertools.product(*per_block):
-                classes = frozenset(
-                    frozenset(piece)
-                    for sub in combo
-                    for piece in sub
-                    if len(piece) >= 2
-                )
-                found.add(Identity(k, "pairs", classes))
+                relations.add(frozenset(itertools.chain.from_iterable(combo)))
+        found.update(Identity(k, "pairs", r) for r in relations)
     if not ordered:
         # one orbit walk per isomorphism class: its least member is the
         # canonical form of every member, so the rest need no walk
@@ -344,7 +346,9 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     its own negative color: a hit settles the subtree, a full coloring
     without one answers False.  All searches share one SEARCH_GUARD node
     budget: by R(3,3) = 6 the 2-colored triangle is False at N = 5, True
-    at 6 to 8 (1.67M nodes at 8) and refused at 9."""
+    at 6 to 8 (1.67M nodes at 8) and refused at 9.  N is checked against
+    GROUND_BOUND before the pair list and color table are built."""
+    check_ground(N)
     if num_colors < 1:
         raise UsageError("need at least one color")
     classes = _stored_pair_classes(s)
@@ -417,7 +421,7 @@ def coloring_from_json(d: dict) -> Coloring:
             tuple(int(x) for x in k.split(",")): int(v)
             for k, v in d["table"].items()
         }
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise UsageError(f"coloring JSON malformed: {exc}") from exc
     check_ground(n)
     num = max(table.values(), default=-1) + 1

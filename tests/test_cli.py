@@ -1,14 +1,18 @@
 """End-to-end command runs: exit codes, pinned output shapes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from identity_lab.cli import _dump
-from identity_lab.closure import catalog_to_json
+from identity_lab.cli import _dump, main
+from identity_lab.closure import catalog_to_json, generate_catalog
 
 CLI = shutil.which("identity-lab")
 
@@ -20,6 +24,14 @@ def run(*args, **kw):
 
 def report(proc):
     return json.loads(proc.stdout)
+
+
+def main_in_process(*argv):
+    """Exit code and stdout of ``cli.main`` run in this interpreter."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +104,14 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("check", "--in", str(bad)).returncode == 2
     assert run("check", "--in", str(tmp_path / "missing.json")).returncode == 2
     assert run("builtin", "--family", "trivial").returncode == 2  # missing --n
+    # input that is not UTF-8 is a usage error, not a decode traceback
+    bom = tmp_path / "utf16.json"
+    bom.write_bytes(b"\xff\xfe{}")
+    for argv in (("check", "--in", str(bom)),
+                 ("oracle", "--coloring", str(bom), "--list")):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert "UTF-8" in proc.stderr and "Traceback" not in proc.stderr
 
     # identity elements must be non-negative integers (booleans excluded)
     for i, pair in enumerate(([0, -1], [0, "a"], [0, 1.5], [0, True])):
@@ -112,6 +132,7 @@ def test_usage_errors_exit_2(tmp_path):
         {"n": 3, "arity": 2, "table": {**pairs3, "5,9": 0}},  # outside ground
         {"n": 3, "arity": 2, "table": {**pairs3, "2,1": 0}},  # not increasing
         {"n": 3, "arity": 2, "table": {**pairs3, "0,1,2": 0}},
+        {"n": 3, "arity": 2, "table": 4},  # table is not an object
     )):
         col = tmp_path / f"bad_col{i}.json"
         col.write_text(json.dumps(desc))
@@ -172,6 +193,13 @@ def test_size_guards_exit_4(tmp_path):
         proc = run("oracle", "--coloring", str(col), "--identity", str(s))
         assert proc.returncode == 4, desc
         assert shown in proc.stderr and "Traceback" not in proc.stderr
+    # arrow refuses N above the bound before it builds the pair table
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps(
+        {"n": 3, "flavor": "pairs", "classes": [[[0, 1], [0, 2], [1, 2]]]}))
+    proc = run("arrow", "--n", "73", "--identity", str(triangle), "--colors", "2")
+    assert proc.returncode == 4
+    assert "ground size 73 exceeds the bound 72" in proc.stderr
 
 
 def test_catalog_member_flow(tmp_path, sk3_file):
@@ -227,6 +255,50 @@ def test_oracle_list(tmp_path):
     proc = run("oracle", "--coloring", str(col), "--list", "--max-size", "3")
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 4
+
+
+def test_oracle_list_output_is_pinned(tmp_path):
+    col = tmp_path / "random9.json"
+    col.write_text(json.dumps({"builtin": "random", "n": 9, "colors": 3, "seed": 0}))
+    argv = ["oracle", "--coloring", str(col), "--list", "--ordered", "--max-size"]
+    code, out = main_in_process(*argv, "5", "--json")
+    assert code == 0
+    output = json.loads(out)["output"]
+    assert len(output["identities"]) == 45_421
+    assert hashlib.sha256(_dump(output).encode()).hexdigest() == (
+        "f78450f3995b84cbcf83bcde767de9d97ba04cbff092675b17e83157c7719886")
+    # text mode prints each identity document of the JSON report, one a line
+    code, out = main_in_process(*argv, "4", "--json")
+    docs = json.loads(out)["output"]["identities"]
+    code, text = main_in_process(*argv, "4")
+    assert code == 0 and docs
+    assert text == "".join(_dump(d) + "\n" for d in docs)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cat = root / "cat3.json"
+    cat.write_text(_dump(catalog_to_json(generate_catalog(3))) + "\n")
+    ident = root / "trivial2.json"
+    ident.write_text(json.dumps({"n": 2, "flavor": "pairs", "classes": []}))
+    return root, str(cat), str(ident)
+
+
+@given(data=st.binary(max_size=64))
+def test_arbitrary_input_bytes_never_escape(fuzz_files, data):
+    # whatever the bytes, the CLI answers with a contract exit code
+    root, cat, ident = fuzz_files
+    f = root / "input.json"
+    f.write_bytes(data)
+    for argv in (
+        ("check", "--in", str(f)),
+        ("oracle", "--coloring", str(f), "--list"),
+        ("member", "--catalog", cat, "--in", str(f)),
+        ("member", "--catalog", str(f), "--in", ident),
+    ):
+        code, _ = main_in_process(*argv)
+        assert code in (0, 2, 3, 4), argv
 
 
 def test_arrow_flow(tmp_path):

@@ -1,6 +1,7 @@
 """Ground-type plumbing: masks, validation, relabeling, embeddings, JSON."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from identity_lab import (
     from_json,
     identity_from_subsets,
     permute,
+    s_doubleprime_n,
     s_k,
     s_prime_n,
     to_json,
@@ -56,6 +58,56 @@ def brute_embeds(src, tgt, ordered=False):
         ):
             return Embedding(h, ordered)
     return None
+
+
+def bit_loop_elems_of(mask):
+    """Slow oracle for ``elems_of``: shift the mask one bit at a time."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def class_list_encoding(s):
+    """Slow oracle for ``encoding``: read the classes through ``class_list``."""
+    cls = tuple(tuple(bit_loop_elems_of(b) for b in cl) for cl in s.class_list())
+    dom = None
+    if s.domain is not None:
+        dom = tuple(sorted(bit_loop_elems_of(b) for b in s.domain))
+    return (s.n, s.flavor, cls, dom)
+
+
+def class_list_to_json(s):
+    """Slow oracle for ``to_json``: a second walk through ``class_list``."""
+    d = {
+        "n": s.n,
+        "flavor": s.flavor,
+        "classes": [[list(bit_loop_elems_of(b)) for b in cl] for cl in s.class_list()],
+    }
+    if s.domain is not None:
+        d["domain"] = sorted([list(bit_loop_elems_of(b)) for b in s.domain])
+    return d
+
+
+def test_elems_of_matches_bit_loop():
+    rng = random.Random(0)
+    masks = list(range(1 << 12))
+    masks += [1 << b for b in range(72)] + [(1 << b) - 1 for b in range(73)]
+    masks += all_pair_masks(72) + [rng.getrandbits(72) for _ in range(5000)]
+    for m in masks:
+        assert elems_of(m) == bit_loop_elems_of(m), m
+
+
+def test_encoding_and_json_match_class_list_versions(cat6, full5):
+    families = [s_k(3), s_k(4), s_prime_n(2), s_prime_n(3),
+                s_doubleprime_n(2), s_doubleprime_n(3)]
+    for s in cat6.members() + full5.members() + PARTIALS + families:
+        assert encoding(s) == class_list_encoding(s), to_json(s)
+        assert to_json(s) == class_list_to_json(s)
 
 
 def test_mask_round_trip():

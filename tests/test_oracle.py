@@ -83,6 +83,33 @@ def brute_arrow(N, s, num_colors):
     return True
 
 
+def reference_ordered_id_of(c, max_size):
+    """Slow oracle for ordered ``id_of``: the plain expansion loop, one
+    ``Identity`` per refinement of each induced partition, duplicates
+    left to the set."""
+    found = set()
+    for k in range(1, min(max_size, c.n_ground) + 1):
+        slots = list(itertools.combinations(range(k), 2))
+        partitions = set()
+        for h in itertools.combinations(range(c.n_ground), k):
+            by = {}
+            for a, b in slots:
+                by.setdefault(c.pair(h[a], h[b]), []).append(mask_of((a, b)))
+            partitions.add(frozenset(frozenset(v) for v in by.values()))
+        for part in partitions:
+            blocks = [sorted(b) for b in part]
+            per_block = [list(_set_partitions(b)) for b in blocks]
+            for combo in itertools.product(*per_block):
+                classes = frozenset(
+                    frozenset(piece)
+                    for sub in combo
+                    for piece in sub
+                    if len(piece) >= 2
+                )
+                found.add(Identity(k, "pairs", classes))
+    return sorted(found, key=encoding)
+
+
 def brute_unordered_id_of(c, max_size):
     """Slow oracle for unordered ``id_of``, from the definition.
 
@@ -231,6 +258,14 @@ def test_color_renaming_never_changes_realized_patterns(seed):
     assert id_of(c, 3) == id_of(renamed, 3)
 
 
+@pytest.mark.parametrize("n, colors, seed, max_size", [
+    (5, 2, 3, 5), (6, 3, 7, 5), (7, 2, 1, 4), (7, 4, 2, 5), (8, 3, 9, 4),
+])
+def test_ordered_id_of_matches_the_expansion_loop(n, colors, seed, max_size):
+    c = builtin_coloring("random", n=n, colors=colors, seed=seed)
+    assert id_of(c, max_size, ordered=True) == reference_ordered_id_of(c, max_size)
+
+
 def test_unordered_id_of_matches_brute_force_at_size_4():
     c = builtin_coloring("random", n=6, colors=2, seed=13)
     assert id_of(c, 4) == brute_unordered_id_of(c, 4)
@@ -281,6 +316,12 @@ def test_arrow_check_guard():
     # every injection search of one call draws on one shared node budget
     with pytest.raises(SizeGuardError, match="2097152"):
         arrow_check(9, TRIANGLE, 2)
+
+
+def test_arrow_check_refuses_ground_above_the_bound():
+    triangle = identity_from_subsets(3, "pairs", [[[0, 1], [0, 2], [1, 2]]])
+    with pytest.raises(SizeGuardError, match=r"ground size 73 exceeds the bound 72"):
+        arrow_check(73, triangle, 2)
 
 
 def test_arrow_check_ramsey_anchor():
