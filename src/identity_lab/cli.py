@@ -219,10 +219,7 @@ def _cmd_simplify(args):
 def _cmd_extend_order(args):
     raw, data = _read_json(args.infile)
     ident = from_json(raw)
-    extended, merges = order_forcing_extension(ident, report_merges=True)
-    for a, b in merges:
-        print(f"merged classes {a} and {b}", file=sys.stderr)
-    out = to_json(extended)
+    out = to_json(order_forcing_extension(ident))
     _emit(args, [data], out, [_dump(out)])
     return EXIT_OK
 

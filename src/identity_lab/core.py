@@ -199,12 +199,8 @@ def permute_mask(mask: int, image) -> int:
     defined on every element of the subset.
     """
     out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << image[i]
-        mask >>= 1
-        i += 1
+    for i in elems_of(mask):
+        out |= 1 << image[i]
     return out
 
 

@@ -34,7 +34,11 @@ lexicographically least accepting order.
 
 Size guard: the search runs on the active elements (those in stored
 classes); every other element only forms singleton sink classes that
-cannot affect any condition.  Active size is capped at 12.
+cannot affect any condition.  Active size is capped at 12, and every
+candidate the order search tries counts against ``core.SEARCH_GUARD``
+(2^21 nodes): a search that would need more raises a size-guard error
+(exit 4 on the CLI) instead of answering after many seconds.  Some
+one-class acyclic identities on 12 elements need about 15M nodes.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Identity, elems_of, mask_of, validate
+from .core import SEARCH_GUARD, Identity, elems_of, mask_of, validate
 from .errors import SizeGuardError, UsageError
 
 ACTIVE_BOUND = 12
@@ -114,9 +118,9 @@ def _find_cycle(edges):
     def dfs(v, path):
         color[v] = 1
         path.append(v)
-        for w in edges.get(v, ()):
-            if not isinstance(w, int):
-                continue  # singleton classes have no out-edges
+        # singleton classes have no out-edges; visiting class nodes in
+        # index order keeps the reported cycle independent of set order
+        for w in sorted(u for u in edges.get(v, ()) if isinstance(u, int)):
             c = color.get(w)
             if c == 1:
                 return path[path.index(w):]
@@ -176,56 +180,52 @@ def _endpoints(cl, position):
 def _order_search(stored, active):
     """Lex-least order of the active elements passing (i)+(ii), or None.
 
-    Depth-first over positions, smallest element first; tracks per class
-    the elements already forced left or right, pruning on first overlap.
+    Depth-first over positions, smallest element first.  The state is
+    passed down by value: ``placed`` is a bitmask of the ordered elements,
+    and bit ``w*idx + x`` of ``right`` says x closes a pair of class idx
+    from the right (only placed elements have such bits).  Placing x after
+    a partner makes that partner a left endpoint, so x dies iff some
+    partner in the same class is already a right endpoint there.  Every
+    candidate tried spends one of SEARCH_GUARD nodes; running out raises
+    SizeGuardError.
     """
-    k = len(stored)
-    pair_classes = {}
+    w = max(active, default=0) + 1
+    blocked = dict.fromkeys(active, 0)  # right bits of x's partners
+    closes = {x: {} for x in active}  # x's right bit -> x's partners there
     for idx, cl in enumerate(stored):
         for b in cl:
-            i, j = elems_of(b)
-            pair_classes.setdefault(i, []).append((j, idx))
-            pair_classes.setdefault(j, []).append((i, idx))
-    lefts = [set() for _ in range(k)]
-    rights = [set() for _ in range(k)]
-    placed = set()
-    order = []
+            for x, y in (elems_of(b), elems_of(b)[::-1]):
+                blocked[x] |= 1 << w * idx + y
+                bit = 1 << w * idx + x
+                closes[x][bit] = closes[x].get(bit, 0) | 1 << y
+    full = mask_of(active)
+    nodes = 0
 
-    def extend():
-        if len(order) == len(active):
-            return True
+    def extend(placed, right):
+        nonlocal nodes
+        if placed == full:
+            return ()
         for x in active:
-            if x in placed:
+            if placed >> x & 1:
                 continue
-            changes = []
-            ok = True
-            for other, idx in pair_classes.get(x, ()):
-                if other not in placed:
-                    continue
-                # other precedes x: other is the left endpoint
-                if x in lefts[idx] or other in rights[idx]:
-                    ok = False
-                    break
-                if x not in rights[idx]:
-                    rights[idx].add(x)
-                    changes.append((rights, idx, x))
-                if other not in lefts[idx]:
-                    lefts[idx].add(other)
-                    changes.append((lefts, idx, other))
-            if ok:
-                placed.add(x)
-                order.append(x)
-                if extend():
-                    return True
-                order.pop()
-                placed.remove(x)
-            for store, idx, val in changes:
-                store[idx].remove(val)
-        return False
+            nodes += 1
+            if nodes > SEARCH_GUARD:
+                raise SizeGuardError(
+                    f"order search over {len(active)} active elements passed "
+                    f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {placed.bit_count()}"
+                )
+            if right & blocked[x]:
+                continue
+            grown = right
+            for bit, partners in closes[x].items():
+                if placed & partners:
+                    grown |= bit
+            rest = extend(placed | 1 << x, grown)
+            if rest is not None:
+                return (x,) + rest
+        return None
 
-    if extend():
-        return tuple(order)
-    return None
+    return extend(0, 0)
 
 
 def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:

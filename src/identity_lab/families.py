@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .core import (
     Identity,
+    _class_id_map,
     elems_of,
     mask_of,
     permute_mask,
@@ -195,12 +196,7 @@ def simplify_k(s: Identity, k: int) -> Identity:
         raise UsageError(f"simplify_k needs full flavor, got {s.flavor!r}")
     if k < 1:
         raise UsageError(f"simplify_k needs k >= 1, got {k}")
-    ids = {}
-    for idx, cl in enumerate(s.class_list()):
-        for b in cl:
-            ids[b] = idx
-    def eid(mask):
-        return ids.get(mask, ("s", mask))
+    ids = _class_id_map(s)
 
     def related(b: int, c: int) -> bool:
         # all <=k subsets of b must be e-related to their order-isomorphic
@@ -208,7 +204,7 @@ def simplify_k(s: Identity, k: int) -> Identity:
         copy = dict(zip(elems_of(b), elems_of(c)))
         sub = b
         while True:
-            if sub.bit_count() <= k and eid(sub) != eid(permute_mask(sub, copy)):
+            if sub.bit_count() <= k and ids[sub] != ids[permute_mask(sub, copy)]:
                 return False
             if sub == 0:
                 return True
@@ -252,45 +248,31 @@ def order_forcing_extension(s: Identity, report_merges: bool = False):
 
     The result lives on 2n-1 elements: the original pattern is kept and,
     for each l < n-1, the new pair {l, n+l} is placed in the class of
-    {l, l+1}.  The equivalence closure is taken; since every added pair is
-    fresh and attaches to exactly one existing class, the closure never
-    merges two original classes, and the optional merge report stays empty.
+    {l, l+1} (or forms a new class with it when {l, l+1} is a singleton).
+    Every added pair lies outside the original ground set, so no two
+    original classes are ever merged.
 
-    With report_merges=True returns (identity, merges) where merges lists
-    any classes that were joined (diagnostic; expected empty).
+    With report_merges=True returns (identity, merges) where merges, the
+    list of joined classes, is always empty.
     """
     if s.flavor != "pairs":
         raise UsageError(f"order_forcing_extension needs pairs flavor, got {s.flavor!r}")
     if s.n < 2:
         raise UsageError(f"order_forcing_extension needs n >= 2, got {s.n}")
     n = s.n
-    cls = [set(c) for c in s.classes]
-
-    def locate(mask):
-        for c in cls:
-            if mask in c:
-                return c
-        c = {mask}
-        cls.append(c)
-        return c
-
-    merges = []
+    grown = {}
     for l in range(n - 1):
-        target = locate(mask_of((l, l + 1)))
-        fresh = locate(mask_of((l, n + l)))
-        if target is not fresh:
-            if len(fresh) > 1 and len(target) > 1:
-                merges.append((sorted(map(elems_of, target)), sorted(map(elems_of, fresh))))
-            target |= fresh
-            cls.remove(fresh)
+        anchor = mask_of((l, l + 1))
+        c = s.class_of(anchor) or frozenset([anchor])
+        grown.setdefault(c, set(c)).add(mask_of((l, n + l)))
     out = Identity(
         2 * n - 1,
         "pairs",
-        frozenset(frozenset(c) for c in cls if len(c) >= 2),
+        s.classes.difference(grown) | {frozenset(g) for g in grown.values()},
     )
     bad = validate(out)
     if bad is not None:
         raise SimplifyError(f"extension produced an invalid structure: {bad}")
     if report_merges:
-        return out, merges
+        return out, []
     return out

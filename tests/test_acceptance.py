@@ -16,6 +16,7 @@ the criterion module notes.
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -330,22 +331,25 @@ def test_acceptance_10_determinism_and_round_trips(tmp_path, cat4, full5):
     cli = shutil.which("identity-lab")
     base = [cli] if cli else [sys.executable, "-m", "identity_lab.cli"]
 
-    def run(*args):
-        return subprocess.run(base + list(args), capture_output=True, text=True)
+    def same_across_seeds(*args):
+        # two fixed hash seeds, so output that follows set order differs
+        a, b = (subprocess.run(base + list(args), capture_output=True, text=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                for seed in "01")
+        return a == b
 
     sk3 = tmp_path / "sk3.json"
     sk3.write_text(json.dumps(to_json(s_k(3))))
     col = tmp_path / "col.json"
     col.write_text(json.dumps({"builtin": "random", "n": 6, "colors": 2, "seed": 17}))
+    cyc = tmp_path / "cycle.json"
+    cyc.write_text(json.dumps({"n": 5, "flavor": "pairs", "classes": [
+        [[0, 1], [2, 4]], [[1, 2], [1, 3]], [[1, 4], [2, 3]]]}))
 
-    runs_identical = (
-        run("check", "--in", str(sk3), "--json").stdout
-        == run("check", "--in", str(sk3), "--json").stdout
-    )
-    lists_identical = (
-        run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json").stdout
-        == run("oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json").stdout
-    )
+    runs_identical = same_across_seeds("check", "--in", str(sk3), "--json")
+    lists_identical = same_across_seeds(
+        "oracle", "--coloring", str(col), "--list", "--max-size", "4", "--json")
+    explain_identical = same_across_seeds("explain", "--in", str(cyc), "--json")
 
     identities_ok = all(
         from_json(to_json(s)) == s for s in list(cat4.members()) + [s_k(4), s_prime_n(2)]
@@ -357,10 +361,12 @@ def test_acceptance_10_determinism_and_round_trips(tmp_path, cat4, full5):
         for cat in (cat4, full5)
     )
     el = time.time() - t0
-    ok = runs_identical and lists_identical and identities_ok and colorings_ok and catalogs_ok
-    _line(10, ok, f"byte-identical reports across runs: check={runs_identical} "
-                  f"oracle --list={lists_identical}; round trips identities="
+    ok = (runs_identical and lists_identical and explain_identical
+          and identities_ok and colorings_ok and catalogs_ok)
+    _line(10, ok, f"byte-identical reports across hash seeds 0/1: check={runs_identical} "
+                  f"oracle --list={lists_identical} explain={explain_identical}; "
+                  f"round trips identities="
                   f"{identities_ok} colorings={colorings_ok} catalogs="
                   f"{catalogs_ok} in {el:.1f}s")
-    assert runs_identical and lists_identical
+    assert runs_identical and lists_identical and explain_identical
     assert identities_ok and colorings_ok and catalogs_ok

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,11 @@ from hypothesis import given, strategies as st
 
 from identity_lab.cli import _dump, main
 from identity_lab.closure import catalog_to_json, generate_catalog
+from test_criterion import DEEP_ORDER_SEARCH
+
+# explain reports the constraint cycle [0, 1, 2] here under every hash seed
+CYCLE_EXAMPLE = {"n": 5, "flavor": "pairs",
+                 "classes": [[[0, 1], [2, 4]], [[1, 2], [1, 3]], [[1, 4], [2, 3]]]}
 
 CLI = shutil.which("identity-lab")
 
@@ -202,6 +208,16 @@ def test_size_guards_exit_4(tmp_path):
     assert "ground size 73 exceeds the bound 72" in proc.stderr
 
 
+def test_order_search_guard_exits_4(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(DEEP_ORDER_SEARCH))
+    for cmd in ("check", "explain"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([cmd, "--in", str(deep)]) == 4
+        assert "2097152" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 def test_catalog_member_flow(tmp_path, sk3_file):
     cat = tmp_path / "cat4.json"
     proc = run("catalog", "--max-size", "4", "--out", str(cat))
@@ -328,10 +344,15 @@ def test_extend_order_flow(sk3_file):
     assert out["output"]["n"] == 11
 
 
-def test_json_reports_are_byte_identical(sk3_file):
-    a = run("check", "--in", sk3_file, "--json").stdout
-    b = run("check", "--in", sk3_file, "--json").stdout
-    assert a == b
+def test_json_reports_are_byte_identical(tmp_path, sk3_file):
+    cyc = tmp_path / "cycle.json"
+    cyc.write_text(json.dumps(CYCLE_EXAMPLE))
+    # two fixed hash seeds, so a report that follows set order must differ
+    for argv in (("check", "--in", sk3_file), ("explain", "--in", str(cyc))):
+        a, b = (run(*argv, "--json", env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                for seed in "01")
+        assert a == b
+    assert "constraint cycle among classes: [0, 1, 2]" in json.loads(a)["output"]["lines"]
 
 
 def test_threads_flag_is_rejected(tmp_path, sk3_file):

@@ -72,6 +72,18 @@ def bit_loop_elems_of(mask):
     return tuple(out)
 
 
+def bit_loop_permute_mask(mask, image):
+    """Slow oracle for ``permute_mask``: shift the mask one bit at a time."""
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << image[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
 def class_list_encoding(s):
     """Slow oracle for ``encoding``: read the classes through ``class_list``."""
     cls = tuple(tuple(bit_loop_elems_of(b) for b in cl) for cl in s.class_list())
@@ -100,6 +112,21 @@ def test_elems_of_matches_bit_loop():
     masks += all_pair_masks(72) + [rng.getrandbits(72) for _ in range(5000)]
     for m in masks:
         assert elems_of(m) == bit_loop_elems_of(m), m
+
+
+def test_permute_mask_matches_bit_loop():
+    rng = random.Random(0)
+    small = tuple(rng.sample(range(12), 12))
+    for m in range(1 << 12):
+        assert permute_mask(m, small) == bit_loop_permute_mask(m, small), m
+    wide = tuple(rng.sample(range(72), 72))
+    masks = [1 << b for b in range(72)] + [(1 << b) - 1 for b in range(73)]
+    masks += all_pair_masks(72) + [rng.getrandbits(72) for _ in range(2000)]
+    for m in masks:
+        assert permute_mask(m, wide) == bit_loop_permute_mask(m, wide), m
+        # an injection given as a dict on the subset's elements only
+        inj = dict(zip(elems_of(m), rng.sample(range(72), m.bit_count())))
+        assert permute_mask(m, inj) == bit_loop_permute_mask(m, inj), m
 
 
 def test_encoding_and_json_match_class_list_versions(cat6, full5):

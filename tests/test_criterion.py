@@ -1,6 +1,7 @@
 """Ranked-order membership test: verdicts, witnesses, invariances."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,8 +18,15 @@ from identity_lab import (
     trivial,
     trivial_full,
 )
-from identity_lab.core import elems_of, identity_from_subsets
-from identity_lab.criterion import check, explain
+from identity_lab.core import elems_of, from_json, identity_from_subsets
+from identity_lab.criterion import _class_nodes, _order_search, check, explain
+
+# one acyclic class on 12 active elements whose order search would need
+# about 15M nodes: the search refuses it at SEARCH_GUARD (2**21)
+DEEP_ORDER_SEARCH = {"n": 12, "flavor": "pairs", "classes": [[
+    [0, 5], [0, 6], [0, 11], [1, 2], [1, 8], [2, 6], [3, 4], [3, 8], [4, 7],
+    [4, 8], [4, 9], [4, 10], [5, 9], [5, 10], [7, 10], [7, 11], [8, 10], [8, 11],
+]]}
 
 
 def test_trivial_accepted_with_increasing_order():
@@ -55,6 +63,44 @@ def test_active_size_guard():
     big = identity_from_subsets(16, "pairs", cls)
     with pytest.raises(SizeGuardError):
         check(big)
+
+
+def test_order_search_node_guard():
+    with pytest.raises(SizeGuardError, match="2097152"):
+        check(from_json(DEEP_ORDER_SEARCH))
+
+
+def brute_order(stored, active):
+    """Slow oracle for ``_order_search``: the first permutation of the
+    active elements, in lex order, under which no class has an element
+    that is both a left and a right endpoint."""
+    for order in itertools.permutations(active):
+        pos = {x: i for i, x in enumerate(order)}
+        if all(
+            not {min(elems_of(b), key=pos.get) for b in cl}
+            & {max(elems_of(b), key=pos.get) for b in cl}
+            for cl in stored
+        ):
+            return order
+    return None
+
+
+def test_order_search_matches_brute_force():
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        classes = [[] for _ in range(rng.randint(1, 3))]
+        for p in pairs[: rng.randint(2, len(pairs))]:
+            rng.choice(classes).append(p)
+        s = identity_from_subsets(n, "pairs", classes)
+        stored, _ = _class_nodes(s)
+        found = _order_search(stored, s.active_elements())
+        assert found == brute_order(stored, s.active_elements()), classes
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
 
 
 def test_inactive_elements_do_not_matter():
