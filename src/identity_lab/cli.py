@@ -34,7 +34,7 @@ from .families import (
     simplify_k,
     trivial,
 )
-from .oracle import arrow_check, coloring_from_json, id_of, realizes
+from .oracle import _id_of_documents, arrow_check, coloring_from_json, realizes
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -172,8 +172,7 @@ def _cmd_oracle(args):
     col_raw, col_data = _read_json(args.coloring)
     coloring = coloring_from_json(col_raw)
     if args.list:
-        idents = id_of(coloring, args.max_size, ordered=args.ordered)
-        docs = [to_json(s) for s in idents]
+        docs = [d for _, d in _id_of_documents(coloring, args.max_size, args.ordered)]
         # the text lines are rendered lazily: with --json they never are
         _emit(args, [col_data], {"identities": docs}, map(_dump, docs))
         return EXIT_OK

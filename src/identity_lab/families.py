@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .core import (
     Identity,
     _class_id_map,
+    check_ground,
     elems_of,
     mask_of,
     permute_mask,
@@ -25,6 +26,7 @@ def trivial(n: int) -> Identity:
     """Pairs identity on 0..n-1 with every pair class a singleton."""
     if n < 1:
         raise UsageError(f"trivial needs n >= 1, got {n}")
+    check_ground(n)
     return Identity(n, "pairs", frozenset())
 
 
@@ -32,6 +34,7 @@ def trivial_full(n: int) -> Identity:
     """Full-flavor identity on 0..n-1 with every subset class a singleton."""
     if n < 1:
         raise UsageError(f"trivial_full needs n >= 1, got {n}")
+    check_ground(n)
     return Identity(n, "full", frozenset())
 
 
@@ -55,6 +58,7 @@ def s_k(k: int) -> Identity:
     if k < 1:
         raise UsageError(f"s_k needs k >= 1, got {k}")
     n = k + k * (k - 1) // 2
+    check_ground(n)
     a, b = [], []
     for l1 in range(k):
         for l0 in range(l1):
@@ -73,6 +77,7 @@ def s_prime_n(n: int) -> Identity:
     if n < 1:
         raise UsageError(f"s_prime_n needs n >= 1, got {n}")
     ground = 2 * n + n * n
+    check_ground(ground)
     a, b = [], []
     for l0 in range(n):
         for l1 in range(n):

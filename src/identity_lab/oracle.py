@@ -29,6 +29,7 @@ from .core import (
     encoding,
     first_injection,
     relabelings,
+    to_json,
 )
 from .errors import SizeGuardError, UsageError
 from .families import meet
@@ -264,21 +265,27 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     monochromatic; equivalently its relation refines the color partition
     induced by some injection, so the enumeration closes each induced
     partition under refinement.  Ordered mode returns exact patterns over
-    increasing injections, with no relabeling.  Unordered mode returns the
-    canonical forms of the ordered result: an arbitrary injection is an
-    increasing one followed by a relabeling, so both describe the same
-    isomorphism classes.  Each class is walked once: the orbit of one
-    ordered identity is removed from the rest, and its least member by
-    ``encoding`` is ``canonical_form`` of each of them.  The result is
-    sorted and duplicate-free.
+    increasing injections.  Unordered mode returns the canonical forms of
+    the ordered result: an arbitrary injection is an increasing one
+    followed by a relabeling, so both describe the same isomorphism
+    classes.  Each class is walked once: the orbit of one ordered identity
+    is removed from the rest, and its least member by ``encoding`` is
+    ``canonical_form`` of each of them.  The result is duplicate-free and
+    sorted by ``encoding``, in ordered mode as tuples of class numbers:
+    each size numbers its distinct classes in element-tuple order.
 
     Hard guards: max_size <= 6, ground <= 10, and, for each size, the
     refinement expansion of the ordered enumeration (the product of Bell
     numbers of the block sizes, summed over the distinct induced
-    partitions) is capped at ID_OF_OUTPUT_CAP in both modes; every size
-    is counted before any size is expanded.  Exceeding the cap is an error, never
-    a truncation.
+    partitions) is capped at ID_OF_OUTPUT_CAP in both modes; every size is
+    counted before any is expanded.  Exceeding the cap is an error, never a
+    truncation.
     """
+    return [s for s, _ in _id_of_documents(c, max_size, ordered)]
+
+
+def _id_of_documents(c: Coloring, max_size: int, ordered: bool) -> list:
+    """``id_of`` as (identity, ``to_json`` document) pairs, in its order."""
     if max_size < 1:
         raise UsageError("max_size must be >= 1")
     if max_size > ID_OF_MAX_SIZE:
@@ -309,31 +316,33 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
                 f"the output cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
             )
         induced.append((k, partitions))
-    found = set()
+    listed = []
     for k, partitions in induced:
-        # each block's refinements become class frozensets once; equal
-        # classes share one object, and each distinct relation is kept once
-        relations, shared = set(), {}
-        for part in partitions:
-            per_block = [
-                [tuple(shared.setdefault(cl, cl)
-                       for cl in map(frozenset, sub) if len(cl) >= 2)
-                 for sub in _set_partitions(sorted(b))]
-                for b in part
-            ]
-            for combo in itertools.product(*per_block):
-                relations.add(frozenset(itertools.chain.from_iterable(combo)))
-        found.update(Identity(k, "pairs", r) for r in relations)
-    if not ordered:
-        # one orbit walk per isomorphism class: its least member is the
-        # canonical form of every member, so the rest need no walk
-        forms = set()
-        while found:
-            orbit = [t for _, t in relabelings(found.pop())]
-            found.difference_update(orbit)
-            forms.add(min(orbit, key=encoding))
-        found = forms
-    return sorted(found, key=encoding)
+        # refinement rows once per block; classes numbered in encoding order
+        rows = {b: [[cl for cl in map(frozenset, sub) if len(cl) >= 2]
+                    for sub in _set_partitions(sorted(b))]
+                for part in partitions for b in part}
+        keys = {cl: tuple(sorted(map(elems_of, cl)))
+                for block in rows.values() for row in block for cl in row}
+        classes = sorted(keys, key=keys.get)
+        number = {cl: i for i, cl in enumerate(classes)}
+        docs = [list(map(list, keys[cl])) for cl in classes]  # shared by the documents
+        rows = {b: [tuple(map(number.get, row)) for row in block] for b, block in rows.items()}
+        relations = {tuple(sorted(itertools.chain.from_iterable(combo)))
+                     for part in partitions for combo in itertools.product(*map(rows.get, part))}
+        listed += ((Identity(k, "pairs", frozenset(classes[i] for i in r)),
+                    {"n": k, "flavor": "pairs", "classes": [docs[i] for i in r]})
+                   for r in sorted(relations))
+    if ordered:
+        return listed
+    # one orbit walk per isomorphism class: its least member is the
+    # canonical form of every member, so the rest need no walk
+    forms, found = set(), {s for s, _ in listed}
+    while found:
+        orbit = [t for _, t in relabelings(found.pop())]
+        found.difference_update(orbit)
+        forms.add(min(orbit, key=encoding))
+    return [(s, to_json(s)) for s in sorted(forms, key=encoding)]
 
 
 def arrow_check(N: int, s: Identity, num_colors: int) -> bool:

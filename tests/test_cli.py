@@ -12,9 +12,18 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from identity_lab import (
+    SizeGuardError,
+    UsageError,
+    catalog_from_json,
+    coloring_from_json,
+    from_json,
+    to_json,
+)
 from identity_lab.cli import _dump, main
 from identity_lab.closure import catalog_to_json, generate_catalog
 from test_criterion import DEEP_ORDER_SEARCH
+from test_oracle import brute_unordered_id_of, reference_ordered_id_of
 
 # explain reports the constraint cycle [0, 1, 2] here under every hash seed
 CYCLE_EXAMPLE = {"n": 5, "flavor": "pairs",
@@ -208,6 +217,18 @@ def test_size_guards_exit_4(tmp_path):
     assert "ground size 73 exceeds the bound 72" in proc.stderr
 
 
+def test_builtin_refuses_families_above_the_ground_bound():
+    # the ground size is checked before the family is built: s_k(100) has
+    # 5,050 points, which no loader would take back
+    for argv, ground in ((("sk", "--k", "12"), 78), (("sk", "--k", "100"), 5050),
+                         (("sprime", "--n", "8"), 80), (("trivial", "--n", "73"), 73)):
+        proc = run("builtin", "--family", *argv)
+        assert proc.returncode == 4, argv
+        assert f"ground size {ground} exceeds the bound 72" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert run("builtin", "--family", "sk", "--k", "11").returncode == 0
+
+
 def test_order_search_guard_exits_4(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text(json.dumps(DEEP_ORDER_SEARCH))
@@ -291,6 +312,30 @@ def test_oracle_list_output_is_pinned(tmp_path):
     assert text == "".join(_dump(d) + "\n" for d in docs)
 
 
+@pytest.mark.parametrize("n, colors, seed", [
+    (5, 3, 2), (6, 3, 1), (7, 3, 4), (8, 4, 6),
+])
+def test_oracle_list_documents_are_to_json_of_the_references(tmp_path, n, colors, seed):
+    # --list renders each identity from shared class documents; the slow
+    # references rendered by to_json must give the same report and lines
+    desc = {"builtin": "random", "n": n, "colors": colors, "seed": seed}
+    col = tmp_path / "random.json"
+    col.write_text(json.dumps(desc))
+    c = coloring_from_json(desc)
+    for flags, reference in (
+        (["--ordered", "--max-size", "5"], reference_ordered_id_of(c, 5)),
+        (["--max-size", "4"], brute_unordered_id_of(c, 4)),
+    ):
+        expected = [to_json(s) for s in reference]
+        argv = ["oracle", "--coloring", str(col), "--list", *flags]
+        code, out = main_in_process(*argv, "--json")
+        assert code == 0
+        assert json.loads(out)["output"] == {"identities": expected}
+        code, text = main_in_process(*argv)
+        assert code == 0
+        assert text == "".join(_dump(d) + "\n" for d in expected)
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -312,6 +357,76 @@ def test_arbitrary_input_bytes_never_escape(fuzz_files, data):
         ("oracle", "--coloring", str(f), "--list"),
         ("member", "--catalog", cat, "--in", str(f)),
         ("member", "--catalog", str(f), "--in", ident),
+    ):
+        code, _ = main_in_process(*argv)
+        assert code in (0, 2, 3, 4), argv
+
+
+# Documents shaped like the interchange formats (identities, builtin and
+# table colorings, catalogs), nested into JSON trees over the formats' own
+# keys, so that inputs reach each loader's later checks, not only its first.
+# Ground sizes are small or at and above the bound of 72, so no example runs
+# a real search.
+FORMAT_KEYS = ("n", "flavor", "classes", "domain", "builtin", "colors", "seed",
+               "len", "strings", "arity", "table", "entries", "max_n",
+               "identity", "trace")
+small = st.integers(-1, 6)
+grounds = st.integers(2, 6) | st.sampled_from((0, 72, 73, 3000))
+flavors = st.sampled_from(("pairs", "pairs", "full", "partial", "sets"))
+leaves = (st.none() | st.booleans() | small | st.just(0.5)
+          | st.sampled_from(("", "pairs", "0,1", "dup")))
+subsets = (st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True).map(sorted)
+           | st.lists(small, max_size=3))
+identity_docs = st.fixed_dictionaries(
+    {"n": grounds, "flavor": flavors,
+     "classes": st.lists(st.lists(subsets, min_size=2, max_size=3), max_size=3)},
+    optional={"domain": st.lists(subsets, max_size=4)},
+)
+coloring_docs = st.fixed_dictionaries(
+    {"builtin": st.sampled_from(("min_pair", "constant", "random", "sierpinski_meet", "x"))},
+    optional={"n": grounds, "colors": small, "seed": small, "len": small,
+              "strings": st.lists(st.sampled_from(("", "0", "1", "01", "10")), max_size=4)},
+) | st.fixed_dictionaries({
+    "n": grounds, "arity": st.integers(0, 3),
+    "table": st.dictionaries(st.sampled_from(("0,1", "0,2", "1,2", "2,1", "0", "0,1,2", "a")),
+                             small | leaves, max_size=4),
+})
+catalog_docs = st.fixed_dictionaries(
+    {"max_n": grounds | leaves,
+     "entries": st.lists(st.fixed_dictionaries({
+         "identity": identity_docs,
+         "trace": st.lists(st.tuples(st.sampled_from(("dup", "res", "zap")),
+                                     small | st.lists(small, max_size=3)).map(list),
+                           max_size=2),
+     }), max_size=3)},
+    optional={"flavor": flavors},
+)
+documents = identity_docs | coloring_docs | catalog_docs
+json_trees = documents | st.recursive(
+    documents | leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(FORMAT_KEYS), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(doc=json_trees)
+def test_loaders_raise_only_contract_errors(doc):
+    for load in (from_json, coloring_from_json, catalog_from_json):
+        try:
+            load(doc)
+        except (UsageError, SizeGuardError):
+            pass
+
+
+@given(doc=json_trees)
+def test_structured_inputs_exit_with_contract_codes(fuzz_files, doc):
+    root, _, _ = fuzz_files
+    f = root / "tree.json"
+    f.write_text(json.dumps(doc))
+    for argv in (
+        ("arrow", "--n", "4", "--colors", "2", "--identity", str(f)),
+        ("oracle", "--coloring", str(f), "--list", "--max-size", "2"),
     ):
         code, _ = main_in_process(*argv)
         assert code in (0, 2, 3, 4), argv

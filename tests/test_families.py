@@ -35,6 +35,16 @@ def test_trivial_full_identifies_nothing():
     assert validate(s) is None
 
 
+def test_family_constructors_refuse_grounds_above_the_bound():
+    # checked on the computed ground size, before any pair list is built
+    for make, arg, ground in ((trivial, 73, 73), (trivial_full, 73, 73),
+                              (s_k, 12, 78), (s_prime_n, 8, 80),
+                              (s_k, 10 ** 6, 500_000_500_000)):
+        with pytest.raises(SizeGuardError, match=f"ground size {ground} exceeds"):
+            make(arg)
+    assert (s_k(11).n, s_prime_n(7).n, trivial(72).n) == (66, 63, 72)
+
+
 def test_s_k_frozen_value():
     assert to_json(s_k(3)) == {
         "n": 6,
