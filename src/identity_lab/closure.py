@@ -49,8 +49,8 @@ from .core import (
 )
 from .errors import SizeGuardError, UsageError
 
-# catalog(7) has 204,794 entries and took 305 s and 260 MB to build on a
-# 2-core host; extrapolated, size 8 would run for hours and exhaust memory
+# catalog(7) has 204,794 entries and took 179 s and 229 MB peak RSS to
+# build on a 2-core host; extrapolated, size 8 would run for hours and exhaust memory
 GENERATION_BOUND = 7
 
 

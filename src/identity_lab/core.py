@@ -122,10 +122,16 @@ def identity_from_subsets(n: int, flavor: str, classes, domain=None) -> Identity
 
 
 def _domain_masks(s: Identity) -> list:
-    """Every subset e is defined on, as masks, in deterministic order."""
+    """Every subset e is defined on, as masks, in deterministic order.
+
+    A full identity has 2^n of them, so n is refused above CANONICAL_BOUND."""
     if s.flavor == "pairs":
         return all_pair_masks(s.n)
     if s.flavor == "full":
+        if s.n > CANONICAL_BOUND:
+            raise SizeGuardError(
+                f"full-flavor domain supports n <= {CANONICAL_BOUND}, got {s.n}"
+            )
         return list(range(1 << s.n))
     return sorted(s.domain, key=elems_of)
 

@@ -34,11 +34,13 @@ lexicographically least accepting order.
 
 Size guard: the search runs on the active elements (those in stored
 classes); every other element only forms singleton sink classes that
-cannot affect any condition.  Active size is capped at 12, and every
-candidate the order search tries counts against ``core.SEARCH_GUARD``
-(2^21 nodes): a search that would need more raises a size-guard error
-(exit 4 on the CLI) instead of answering after many seconds.  Some
-one-class acyclic identities on 12 elements need about 15M nodes.
+cannot affect any condition.  The subtree under a search state depends
+only on the placed elements and their right-endpoint bits, so states
+whose every candidate failed are memoized and never searched again.
+Every candidate the order search tries counts against
+``core.SEARCH_GUARD`` (2^21 nodes): a search that would need more raises
+a size-guard error (exit 4 on the CLI) instead of answering after many
+seconds.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 from .core import SEARCH_GUARD, Identity, elems_of, mask_of, validate
 from .errors import SizeGuardError, UsageError
 
-ACTIVE_BOUND = 12
 EXPLAIN_BOUND = 7  # per-order forensics enumerate all orders: factorial
 
 
@@ -112,7 +113,8 @@ def _digraph(stored, owner):
 
 
 def _find_cycle(edges):
-    """A directed cycle among stored-class nodes, or None."""
+    """A directed cycle among stored-class nodes, or None.  Only ``explain``
+    calls it, under EXPLAIN_BOUND, which keeps the recursion shallow."""
     color = {}
 
     def dfs(v, path):
@@ -140,30 +142,23 @@ def _find_cycle(edges):
     return None
 
 
-def _ranks(stored, edges):
-    """Longest-path-in rank: strictly increasing along every edge."""
-    rank = {}
-    preds = {}
-    for v, ws in edges.items():
-        for w in ws:
-            preds.setdefault(w, []).append(v)
-
-    def depth(v):
-        if v in rank:
-            return rank[v]
-        rank[v] = 0  # placeholder; graph is acyclic when called
-        best = 0
-        for p in preds.get(v, ()):
-            best = max(best, depth(p) + 1)
-        rank[v] = best
-        return best
-
-    nodes = set(edges)
+def _ranks(edges):
+    """Longest-path-in ranks, strictly increasing along every edge, or None
+    when the edges cycle: one in-degree (Kahn) pass, no recursion."""
+    rank = dict.fromkeys(edges, 0)
+    indeg = dict.fromkeys(edges, 0)
     for ws in edges.values():
-        nodes |= ws
-    for v in nodes:
-        depth(v)
-    return rank
+        for w in ws:
+            rank[w] = 0
+            indeg[w] = indeg.get(w, 0) + 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    for v in ready:
+        for w in edges.get(v, ()):
+            rank[w] = max(rank[w], rank[v] + 1)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return rank if len(ready) == len(rank) else None
 
 
 def _endpoints(cl, position):
@@ -185,9 +180,11 @@ def _order_search(stored, active):
     and bit ``w*idx + x`` of ``right`` says x closes a pair of class idx
     from the right (only placed elements have such bits).  Placing x after
     a partner makes that partner a left endpoint, so x dies iff some
-    partner in the same class is already a right endpoint there.  Every
-    candidate tried spends one of SEARCH_GUARD nodes; running out raises
-    SizeGuardError.
+    partner in the same class is already a right endpoint there.  The
+    subtree under a state depends only on ``(placed, right)``, so a state
+    whose every candidate failed goes into ``dead`` and fails at once when
+    reached again.  Every candidate tried spends one of SEARCH_GUARD
+    nodes; running out raises SizeGuardError.
     """
     w = max(active, default=0) + 1
     blocked = dict.fromkeys(active, 0)  # right bits of x's partners
@@ -200,11 +197,14 @@ def _order_search(stored, active):
                 closes[x][bit] = closes[x].get(bit, 0) | 1 << y
     full = mask_of(active)
     nodes = 0
+    dead = set()
 
     def extend(placed, right):
         nonlocal nodes
         if placed == full:
             return ()
+        if (placed, right) in dead:
+            return None
         for x in active:
             if placed >> x & 1:
                 continue
@@ -223,6 +223,7 @@ def _order_search(stored, active):
             rest = extend(placed | 1 << x, grown)
             if rest is not None:
                 return (x,) + rest
+        dead.add((placed, right))
         return None
 
     return extend(0, 0)
@@ -243,21 +244,15 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
     if s.flavor != "pairs":
         raise UsageError(f"criterion needs pairs flavor, got {s.flavor!r}")
     active = s.active_elements()
-    if len(active) > ACTIVE_BOUND:
-        raise SizeGuardError(
-            f"criterion supports at most {ACTIVE_BOUND} active elements, "
-            f"got {len(active)}"
-        )
     stored, owner = _class_nodes(s)
-    edges = _digraph(stored, owner)
-    if _find_cycle(edges) is not None:
+    rank = _ranks(_digraph(stored, owner))
+    if rank is None:
         return CriterionVerdict(False, strengthened)
     order_active = _order_search(stored, active)
     if order_active is None:
         return CriterionVerdict(False, strengthened)
     inactive = [x for x in range(s.n) if x not in set(active)]
     order = tuple(order_active) + tuple(inactive)
-    rank = _ranks(stored, edges)
     posn = {x: i for i, x in enumerate(order)}
     endpoints = [
         tuple(tuple(sorted(side)) for side in _endpoints(cl, posn)) for cl in stored

@@ -248,7 +248,7 @@ def simplify_k(s: Identity, k: int) -> Identity:
     return Identity(s.n, "full", frozenset(classes))
 
 
-def order_forcing_extension(s: Identity, report_merges: bool = False):
+def order_forcing_extension(s: Identity) -> Identity:
     """Extend a pairs identity so realizations must sort its ground set.
 
     The result lives on 2n-1 elements: the original pattern is kept and,
@@ -256,9 +256,6 @@ def order_forcing_extension(s: Identity, report_merges: bool = False):
     {l, l+1} (or forms a new class with it when {l, l+1} is a singleton).
     Every added pair lies outside the original ground set, so no two
     original classes are ever merged.
-
-    With report_merges=True returns (identity, merges) where merges, the
-    list of joined classes, is always empty.
     """
     if s.flavor != "pairs":
         raise UsageError(f"order_forcing_extension needs pairs flavor, got {s.flavor!r}")
@@ -278,6 +275,4 @@ def order_forcing_extension(s: Identity, report_merges: bool = False):
     bad = validate(out)
     if bad is not None:
         raise SimplifyError(f"extension produced an invalid structure: {bad}")
-    if report_merges:
-        return out, []
     return out

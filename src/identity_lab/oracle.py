@@ -349,13 +349,14 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     """True iff every pair coloring of 0..N-1 with the given palette
     realizes the identity (unordered).
 
-    Backtracks over the pairs in lex order, using color v only after v-1
-    (restricted growth: realization ignores color names).  Each node runs
-    ``first_injection`` on the partial coloring, each uncolored pair with
-    its own negative color: a hit settles the subtree, a full coloring
-    without one answers False.  All searches share one SEARCH_GUARD node
-    budget: by R(3,3) = 6 the 2-colored triangle is False at N = 5, True
-    at 6 to 8 (1.67M nodes at 8) and refused at 9.  N is checked against
+    Backtracks over the pairs in colex order (the first C(k,2) are K_k),
+    using color v only after v-1 (restricted growth: realization ignores
+    color names).  Each node runs ``first_injection`` on the partial
+    coloring, each uncolored pair with its own negative color: a hit
+    settles the subtree, a full coloring without one answers False.  All
+    searches share one SEARCH_GUARD node budget: by R(3,3) = 6 the
+    2-colored triangle is False at N = 5 and True from 6 on; 3-colored, it
+    is False up to 10 and refused at 11.  N is checked against
     GROUND_BOUND before the pair list and color table are built."""
     check_ground(N)
     if num_colors < 1:
@@ -363,7 +364,7 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     classes = _stored_pair_classes(s)
     if s.n > N:
         return False
-    pairs = list(_pairs(N))
+    pairs = [(x, y) for y in range(N) for x in range(y)]
     col = [[0] * N for _ in range(N)]
     for k, (x, y) in enumerate(pairs):
         col[x][y] = col[y][x] = -1 - k

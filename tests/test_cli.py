@@ -22,7 +22,7 @@ from identity_lab import (
 )
 from identity_lab.cli import _dump, main
 from identity_lab.closure import catalog_to_json, generate_catalog
-from test_criterion import DEEP_ORDER_SEARCH
+from test_criterion import ORDER_SEARCH_PAST_GUARD
 from test_oracle import brute_unordered_id_of, reference_ordered_id_of
 
 # explain reports the constraint cycle [0, 1, 2] here under every hash seed
@@ -215,6 +215,12 @@ def test_size_guards_exit_4(tmp_path):
     proc = run("arrow", "--n", "73", "--identity", str(triangle), "--colors", "2")
     assert proc.returncode == 4
     assert "ground size 73 exceeds the bound 72" in proc.stderr
+    # a full identity's 2^n domain is refused before it is built
+    full = tmp_path / "full16.json"
+    full.write_text(json.dumps({"n": 16, "flavor": "full", "classes": []}))
+    proc = run("simplify", "--in", str(full), "--k", "2")
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr
+    assert "n <= 12, got 16" in proc.stderr
 
 
 def test_builtin_refuses_families_above_the_ground_bound():
@@ -230,12 +236,12 @@ def test_builtin_refuses_families_above_the_ground_bound():
 
 
 def test_order_search_guard_exits_4(tmp_path):
-    deep = tmp_path / "deep.json"
-    deep.write_text(json.dumps(DEEP_ORDER_SEARCH))
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(ORDER_SEARCH_PAST_GUARD))
     for cmd in ("check", "explain"):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            assert main([cmd, "--in", str(deep)]) == 4
+            assert main([cmd, "--in", str(probe)]) == 4
         assert "2097152" in err.getvalue() and "Traceback" not in err.getvalue()
 
 

@@ -12,7 +12,9 @@ from identity_lab import (
     UsageError,
     catalog_from_json,
     catalog_to_json,
+    check,
     duplicate,
+    explain,
     generate_catalog,
     member_of_catalog,
     permute,
@@ -348,6 +350,11 @@ def test_member_matches_bucket_index_on_relabeled_entries(cat6, cat6_index, data
     ids=["s_prime_3", "s_doubleprime_2"],
 )
 def test_six_subset_sweep(cat6, cat6_index, family, absent_expected):
+    # both halves of the certificate: the order/rank criterion accepts the
+    # family (audited), yet some 6-element restriction is outside catalog(6)
+    verdict = check(family)
+    assert verdict.accepted
+    explain(verdict, family)  # re-verifies the witness; raises on a mismatch
     # every 6-element restriction, answered once per distinct pattern
     answers = {}
     absent = 0

@@ -19,14 +19,49 @@ from identity_lab import (
     trivial_full,
 )
 from identity_lab.core import elems_of, from_json, identity_from_subsets
-from identity_lab.criterion import _class_nodes, _order_search, check, explain
+from identity_lab.criterion import (
+    _audit_accept,
+    _class_nodes,
+    _order_search,
+    _ranks,
+    check,
+    explain,
+)
 
-# one acyclic class on 12 active elements whose order search would need
-# about 15M nodes: the search refuses it at SEARCH_GUARD (2**21)
+# one acyclic class on 12 active elements with the triangle 3-4-8, so no
+# order passes; an order search that does not memoize dead states needs
+# about 15M nodes to find that out
 DEEP_ORDER_SEARCH = {"n": 12, "flavor": "pairs", "classes": [[
     [0, 5], [0, 6], [0, 11], [1, 2], [1, 8], [2, 6], [3, 4], [3, 8], [4, 7],
     [4, 8], [4, 9], [4, 10], [5, 9], [5, 10], [7, 10], [7, 11], [8, 10], [8, 11],
 ]]}
+
+# two acyclic classes on 20 active elements, each bipartite, whose order
+# search still passes SEARCH_GUARD (2**21 nodes), at depth 14
+ORDER_SEARCH_PAST_GUARD = {"n": 20, "flavor": "pairs", "classes": [
+    [[0, 2], [0, 17], [0, 18], [2, 4], [4, 5], [4, 6], [4, 14], [4, 15], [4, 17],
+     [5, 10], [5, 11], [6, 11], [8, 10], [9, 14], [10, 13], [10, 14], [10, 15]],
+    [[1, 8], [1, 16], [2, 19], [3, 17], [5, 12], [5, 16], [7, 19], [13, 14],
+     [14, 17], [15, 19], [16, 19]],
+]}
+
+
+def cherry_chain(n, seed):
+    """Classes {{s[t-1], s[t]}, {s[t-1], s[t+1]}} along a greedy random walk
+    s on n points that never reuses a pair; each class feeds the next."""
+    rng = random.Random(seed)
+    walk, used, classes = [0, 1], {(0, 1)}, []
+    while True:
+        a, b = walk[-2:]
+        fresh = [x for x in range(n) if x not in (a, b)
+                 and tuple(sorted((b, x))) not in used
+                 and tuple(sorted((a, x))) not in used]
+        if not fresh:
+            return classes
+        x = rng.choice(fresh)
+        used |= {tuple(sorted((b, x))), tuple(sorted((a, x)))}
+        classes.append([[a, b], [a, x]])
+        walk.append(x)
 
 
 def test_trivial_accepted_with_increasing_order():
@@ -36,7 +71,7 @@ def test_trivial_accepted_with_increasing_order():
 
 
 def test_splitting_family_rejected_both_modes():
-    for k in (3, 4):
+    for k in (3, 4, 5, 6):
         assert not check(s_k(k)).accepted
         assert not check(s_k(k), strengthened=True).accepted
 
@@ -46,11 +81,17 @@ def test_two_block_splitting_family_passes_the_order_test():
     # is a catalog-restriction fact (see the closure tests)
     assert check(s_prime_n(2)).accepted
     assert check(s_prime_n(2), strengthened=True).accepted
+    for n in (3, 4):  # 15 and 24 active elements
+        v = check(s_prime_n(n))
+        assert v.accepted
+        _audit_accept(v, s_prime_n(n))
 
 
 def test_doubled_splitting_family_passes_the_order_test():
-    v = check(s_doubleprime_n(2), strengthened=True)
-    assert v.accepted
+    for n in (2, 3):  # s_doubleprime_n(3) has 32 active elements
+        v = check(s_doubleprime_n(n), strengthened=True)
+        assert v.accepted
+        _audit_accept(v, s_doubleprime_n(n))
 
 
 def test_rejects_non_pairs_input():
@@ -58,16 +99,70 @@ def test_rejects_non_pairs_input():
         check(trivial_full(3))
 
 
-def test_active_size_guard():
+def test_fifteen_active_elements_are_answered():
     cls = [[[2 * i, 2 * i + 1], [2 * i, 2 * i + 2]] for i in range(0, 7)]
     big = identity_from_subsets(16, "pairs", cls)
-    with pytest.raises(SizeGuardError):
-        check(big)
+    v = check(big)
+    assert v.accepted
+    _audit_accept(v, big)
 
 
 def test_order_search_node_guard():
     with pytest.raises(SizeGuardError, match="2097152"):
-        check(from_json(DEEP_ORDER_SEARCH))
+        check(from_json(ORDER_SEARCH_PAST_GUARD))
+
+
+def is_bipartite(pairs):
+    """BFS two-coloring oracle for a pair graph."""
+    nbrs = {}
+    for a, b in pairs:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    side = {}
+    for root in nbrs:
+        if root in side:
+            continue
+        side[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return False
+    return True
+
+
+def test_one_class_passes_iff_its_pair_graph_is_bipartite():
+    # one class alone passes (i)+(ii) under some order iff its pairs can be
+    # oriented from one side of a two-coloring to the other, and it has no
+    # rank cycle; DEEP_ORDER_SEARCH is such a class with a triangle
+    assert not is_bipartite(DEEP_ORDER_SEARCH["classes"][0])
+    assert not check(from_json(DEEP_ORDER_SEARCH)).accepted
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(25):  # 10-16 active elements: a random tree plus 0-3 pairs
+        n = rng.randint(10, 16)
+        perm = rng.sample(range(n), n)
+        cl = {tuple(sorted((perm[i], perm[rng.randrange(i)]))) for i in range(1, n)}
+        cl |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3))}
+        s = identity_from_subsets(n, "pairs", [sorted(cl)])
+        assert check(s).accepted == is_bipartite(cl), sorted(cl)
+        outcomes.add(is_bipartite(cl))
+    assert outcomes == {True, False}
+
+
+def test_ranks_take_one_pass_without_recursion():
+    chain = {i: {i + 1} for i in range(4999)} | {4999: set()}
+    assert _ranks(chain)[4999] == 4999
+    assert _ranks({0: {1}, 1: {0}}) is None
+    # 1,027 classes on 72 points, each feeding the next: the rank pass
+    # answers, and the order search then runs out of nodes
+    chained = identity_from_subsets(72, "pairs", cherry_chain(72, 3))
+    assert len(chained.classes) == 1027
+    with pytest.raises(SizeGuardError, match="2097152"):
+        check(chained)
 
 
 def brute_order(stored, active):

@@ -315,7 +315,7 @@ def test_arrow_check_guard():
     assert arrow_check(6, trivial(3), 3) is True
     # every injection search of one call draws on one shared node budget
     with pytest.raises(SizeGuardError, match="2097152"):
-        arrow_check(9, TRIANGLE, 2)
+        arrow_check(11, TRIANGLE, 3)  # R(3,3,3) = 17 is far out of reach
 
 
 def test_arrow_check_refuses_ground_above_the_bound():
@@ -326,9 +326,12 @@ def test_arrow_check_refuses_ground_above_the_bound():
 
 def test_arrow_check_ramsey_anchor():
     # R(3,3) = 6 (Greenwood & Gleason, 1955)
-    assert [arrow_check(N, TRIANGLE, 2) for N in (5, 6, 7, 8)] == [
-        False, True, True, True
+    assert [arrow_check(N, TRIANGLE, 2) for N in (5, 6, 7, 8, 9, 12)] == [
+        False, True, True, True, True, True
     ]
+    # R(3,3,3) = 17 (Greenwood & Gleason, 1955): below 17 points some
+    # 3-coloring has no monochromatic triangle
+    assert [arrow_check(N, TRIANGLE, 3) for N in (8, 9)] == [False, False]
     # K5 has chromatic index 5, so 4 colors force two touching equal pairs
     assert arrow_check(5, CHERRY, 4) is True
 
