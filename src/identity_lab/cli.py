@@ -22,7 +22,7 @@ from .closure import (
     generate_catalog,
     member_of_catalog,
 )
-from .core import from_json, to_json
+from .core import _dump, from_json, to_json
 from .criterion import check, explain
 from .errors import SizeGuardError, UsageError
 from .families import (
@@ -34,16 +34,12 @@ from .families import (
     simplify_k,
     trivial,
 )
-from .oracle import _id_of_documents, arrow_check, coloring_from_json, realizes
+from .oracle import _id_of_texts, arrow_check, coloring_from_json, realizes
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_GUARD = 4
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_json(path: str):
@@ -56,23 +52,23 @@ def _read_json(path: str):
     return json.loads(text), data
 
 
-def _report(args, digest_parts, output) -> str:
+def _report(args, digest_parts, output_text) -> str:
+    """The report envelope around the output's JSON text: ``_dump`` of the
+    report dict, keys in sorted order, without re-encoding the output."""
     digest = hashlib.sha256()
     for part in digest_parts:
         digest.update(part)
-    return _dump(
-        {
-            "command": args._argv,
-            "inputs_digest": digest.hexdigest(),
-            "tool_version": f"identity-lab {__version__}",
-            "output": output,
-        }
+    return (
+        f'{{"command":{_dump(args._argv)},'
+        f'"inputs_digest":{_dump(digest.hexdigest())},'
+        f'"output":{output_text},'
+        f'"tool_version":{_dump(f"identity-lab {__version__}")}}}'
     )
 
 
-def _emit(args, digest_parts, output, text_lines):
+def _emit(args, digest_parts, output_text, text_lines):
     if args.json:
-        print(_report(args, digest_parts, output))
+        print(_report(args, digest_parts, output_text))
     else:
         for line in text_lines:
             print(line)
@@ -111,7 +107,8 @@ def _cmd_builtin(args):
             "sdoubleprime": (s_doubleprime_n, "--n", args.n),
         }[fam]  # argparse admits only these choices
         d = to_json(make(_require(value, flag, fam)))
-    _emit(args, [_dump(d).encode()], d, [_dump(d)])
+    text = _dump(d)
+    _emit(args, [text.encode()], text, [text])
     return EXIT_OK
 
 
@@ -133,7 +130,7 @@ def _cmd_check(args):
     ]
     if governing.accepted:
         lines.append(f"order: {list(governing.order)}")
-    _emit(args, [data], out, lines)
+    _emit(args, [data], _dump(out), lines)
     return EXIT_OK if governing.accepted else EXIT_NEGATIVE
 
 
@@ -147,7 +144,7 @@ def _cmd_catalog(args):
     _emit(
         args,
         [payload.encode()],
-        out,
+        _dump(out),
         [f"{len(cat)} entries up to size {cat.max_n} written to {args.out}"],
     )
     return EXIT_OK
@@ -162,7 +159,7 @@ def _cmd_member(args):
     _emit(
         args,
         [cat_data, s_data],
-        {"member": hit, "ordered": args.ordered},
+        _dump({"member": hit, "ordered": args.ordered}),
         ["member" if hit else "not a member"],
     )
     return EXIT_OK if hit else EXIT_NEGATIVE
@@ -172,9 +169,8 @@ def _cmd_oracle(args):
     col_raw, col_data = _read_json(args.coloring)
     coloring = coloring_from_json(col_raw)
     if args.list:
-        docs = [d for _, d in _id_of_documents(coloring, args.max_size, args.ordered)]
-        # the text lines are rendered lazily: with --json they never are
-        _emit(args, [col_data], {"identities": docs}, map(_dump, docs))
+        texts = _id_of_texts(coloring, args.max_size, args.ordered)
+        _emit(args, [col_data], '{"identities":[' + ",".join(texts) + "]}", texts)
         return EXIT_OK
     if not args.identity:
         raise UsageError("oracle needs --identity or --list")
@@ -182,7 +178,7 @@ def _cmd_oracle(args):
     ident = from_json(s_raw)
     real = realizes(coloring, ident, ordered=args.ordered)
     if real is None:
-        _emit(args, [col_data, s_data], {"realization": None}, ["none"])
+        _emit(args, [col_data, s_data], _dump({"realization": None}), ["none"])
         return EXIT_NEGATIVE
     out = {
         "realization": {
@@ -190,7 +186,7 @@ def _cmd_oracle(args):
             "pulled_colors": list(real.pulled_colors),
         }
     }
-    _emit(args, [col_data, s_data], out, [f"embedding {list(real.embedding)}"])
+    _emit(args, [col_data, s_data], _dump(out), [f"embedding {list(real.embedding)}"])
     return EXIT_OK
 
 
@@ -201,7 +197,7 @@ def _cmd_arrow(args):
     _emit(
         args,
         [s_data],
-        {"arrow": ok, "n": args.n, "colors": args.colors},
+        _dump({"arrow": ok, "n": args.n, "colors": args.colors}),
         ["true" if ok else "false"],
     )
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -210,16 +206,16 @@ def _cmd_arrow(args):
 def _cmd_simplify(args):
     raw, data = _read_json(args.infile)
     ident = from_json(raw)
-    out = to_json(simplify_k(ident, args.k))
-    _emit(args, [data], out, [_dump(out)])
+    text = _dump(to_json(simplify_k(ident, args.k)))
+    _emit(args, [data], text, [text])
     return EXIT_OK
 
 
 def _cmd_extend_order(args):
     raw, data = _read_json(args.infile)
     ident = from_json(raw)
-    out = to_json(order_forcing_extension(ident))
-    _emit(args, [data], out, [_dump(out)])
+    text = _dump(to_json(order_forcing_extension(ident)))
+    _emit(args, [data], text, [text])
     return EXIT_OK
 
 
@@ -228,7 +224,7 @@ def _cmd_explain(args):
     ident = from_json(raw)
     verdict = check(ident, strengthened=args.strengthened)
     report = explain(verdict, ident)
-    _emit(args, [data], report, report["lines"])
+    _emit(args, [data], _dump(report), report["lines"])
     return EXIT_OK if verdict.accepted else EXIT_NEGATIVE
 
 

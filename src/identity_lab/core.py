@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 
 from .errors import SizeGuardError, UsageError
@@ -381,6 +382,11 @@ def to_json(s: Identity) -> dict:
     if dom is not None:
         d["domain"] = list(map(list, dom))
     return d
+
+
+def _dump(obj) -> str:
+    """Compact JSON text with sorted keys: the byte form of every report."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _mask_from_json(sub, n: int) -> int:

@@ -113,32 +113,36 @@ def _digraph(stored, owner):
 
 
 def _find_cycle(edges):
-    """A directed cycle among stored-class nodes, or None.  Only ``explain``
-    calls it, under EXPLAIN_BOUND, which keeps the recursion shallow."""
+    """A directed cycle among stored-class nodes, or None.
+
+    Depth-first from each node in ``edges`` order, class successors in
+    index order (singleton classes have no out-edges), so the reported
+    cycle does not depend on set order.  The walk keeps its own stack, so
+    any number of classes is fine.
+    """
+    def successors(v):
+        return iter(sorted(u for u in edges.get(v, ()) if isinstance(u, int)))
+
     color = {}
-
-    def dfs(v, path):
-        color[v] = 1
-        path.append(v)
-        # singleton classes have no out-edges; visiting class nodes in
-        # index order keeps the reported cycle independent of set order
-        for w in sorted(u for u in edges.get(v, ()) if isinstance(u, int)):
-            c = color.get(w)
-            if c == 1:
-                return path[path.index(w):]
-            if c is None:
-                found = dfs(w, path)
-                if found:
-                    return found
-        path.pop()
-        color[v] = 2
-        return None
-
-    for v in list(edges):
-        if v not in color:
-            found = dfs(v, [])
-            if found:
-                return found
+    for root in edges:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, successors(root))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                c = color.get(w)
+                if c == 1:
+                    path = [u for u, _ in stack]
+                    return path[path.index(w):]
+                if c is None:
+                    color[w] = 1
+                    stack.append((w, successors(w)))
+                    break
+            else:
+                stack.pop()
+                color[v] = 2
     return None
 
 
@@ -340,7 +344,9 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
     reports the witnesses (re-verification failure raises, since it means
     the checker and the auditor disagree).  For a rejected verdict, lists
     either the constraint cycle or, per candidate order of the active
-    elements, the first violated condition.
+    elements, the first violated condition.  Above EXPLAIN_BOUND active
+    elements a rejection is explained by its constraint cycle alone, with
+    no per-order list; an acyclic one is a size-guard error.
     """
     bad = validate(s)
     if bad is not None:
@@ -360,14 +366,17 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
             lines.append(f"singleton pair {tuple(p)}: rank {r}")
         lines.append("independent re-verification passed")
         return {"accepted": True, "lines": lines}
+    cycle = _find_cycle(_digraph(stored, owner))
+    if cycle is not None:
+        lines.append(f"constraint cycle among classes: {cycle}")
     active = s.active_elements()
     if len(active) > EXPLAIN_BOUND:
+        if cycle is not None:  # no order can pass, so none is listed
+            return {"accepted": False, "lines": lines}
         raise SizeGuardError(
             f"per-order forensics supports at most {EXPLAIN_BOUND} active "
             f"elements, got {len(active)}"
         )
-    edges = _digraph(stored, owner)
-    cycle = _find_cycle(edges)
     orders = []
     for order in itertools.permutations(active):
         tag = _first_violation(stored, order)
@@ -382,7 +391,5 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
                 f"classes {cycle}"
             )
         orders.append({"order": list(order), "violation": tag})
-    if cycle is not None:
-        lines.append(f"constraint cycle among classes: {cycle}")
     lines.append(f"all {len(orders)} candidate orders fail")
     return {"accepted": False, "lines": lines, "orders": orders}

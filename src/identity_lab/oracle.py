@@ -24,6 +24,7 @@ from .core import (
     SEARCH_GUARD,
     Identity,
     _check_valid,
+    _dump,
     check_ground,
     elems_of,
     encoding,
@@ -264,15 +265,13 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     An identity is realized when some injection makes each of its classes
     monochromatic; equivalently its relation refines the color partition
     induced by some injection, so the enumeration closes each induced
-    partition under refinement.  Ordered mode returns exact patterns over
-    increasing injections.  Unordered mode returns the canonical forms of
-    the ordered result: an arbitrary injection is an increasing one
-    followed by a relabeling, so both describe the same isomorphism
-    classes.  Each class is walked once: the orbit of one ordered identity
-    is removed from the rest, and its least member by ``encoding`` is
-    ``canonical_form`` of each of them.  The result is duplicate-free and
-    sorted by ``encoding``, in ordered mode as tuples of class numbers:
-    each size numbers its distinct classes in element-tuple order.
+    partition under refinement (``_ordered_relations``).  Ordered mode
+    returns exact patterns over increasing injections, sorted by
+    ``encoding``.  Unordered mode returns the canonical forms of the
+    ordered result: an arbitrary injection is an increasing one followed by
+    a relabeling, so both describe the same isomorphism classes
+    (``_canonical_closure``).  The result is duplicate-free and sorted by
+    ``encoding``.
 
     Hard guards: max_size <= 6, ground <= 10, and, for each size, the
     refinement expansion of the ordered enumeration (the product of Bell
@@ -281,11 +280,50 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     counted before any is expanded.  Exceeding the cap is an error, never a
     truncation.
     """
-    return [s for s, _ in _id_of_documents(c, max_size, ordered)]
+    found = [Identity(k, "pairs", frozenset(classes[i] for i in r))
+             for k, classes, _, relations in _ordered_relations(c, max_size)
+             for r in relations]
+    return found if ordered else _canonical_closure(found)
 
 
-def _id_of_documents(c: Coloring, max_size: int, ordered: bool) -> list:
-    """``id_of`` as (identity, ``to_json`` document) pairs, in its order."""
+def _canonical_closure(found) -> list:
+    """The canonical forms of ``found``, duplicate-free and sorted by
+    ``encoding``.  Each isomorphism class is walked once: the orbit of one
+    identity is removed from the rest, and its least member by
+    ``encoding`` is ``canonical_form`` of each of them."""
+    forms, found = set(), set(found)
+    while found:
+        orbit = [t for _, t in relabelings(found.pop())]
+        found.difference_update(orbit)
+        forms.add(min(orbit, key=encoding))
+    return sorted(forms, key=encoding)
+
+
+def _id_of_texts(c: Coloring, max_size: int, ordered: bool) -> list:
+    """``_dump(to_json(s))`` for each identity of ``id_of``, in its order.
+
+    Ordered mode builds no identity: each relation joins the JSON texts of
+    its classes, rendered once per size, in the sorted-key layout of
+    ``_dump`` (classes < flavor < n).
+    """
+    if not ordered:
+        return [_dump(to_json(s)) for s in id_of(c, max_size)]
+    return ['{"classes":[' + ",".join(map(texts.__getitem__, r))
+            + '],"flavor":"pairs","n":' + str(k) + "}"
+            for k, _, texts, relations in _ordered_relations(c, max_size)
+            for r in relations]
+
+
+def _ordered_relations(c: Coloring, max_size: int) -> list:
+    """The ordered enumeration behind ``id_of``, one entry per size k:
+    ``(k, classes, class_texts, relations)``.
+
+    ``classes`` holds the size's distinct pair classes (frozensets of pair
+    masks) in element-tuple order, ``class_texts`` the compact JSON text of
+    each, and ``relations`` the sorted tuples of class numbers, one per
+    identity, so ``encoding`` order.  The refinement rows of each distinct
+    block are built once; a singleton block has the one empty row.
+    """
     if max_size < 1:
         raise UsageError("max_size must be >= 1")
     if max_size > ID_OF_MAX_SIZE:
@@ -316,33 +354,20 @@ def _id_of_documents(c: Coloring, max_size: int, ordered: bool) -> list:
                 f"the output cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
             )
         induced.append((k, partitions))
-    listed = []
+    sizes = []
     for k, partitions in induced:
-        # refinement rows once per block; classes numbered in encoding order
         rows = {b: [[cl for cl in map(frozenset, sub) if len(cl) >= 2]
-                    for sub in _set_partitions(sorted(b))]
-                for part in partitions for b in part}
+                    for sub in _set_partitions(sorted(b))] if len(b) >= 2 else [[]]
+                for b in set().union(*partitions)}
         keys = {cl: tuple(sorted(map(elems_of, cl)))
-                for block in rows.values() for row in block for cl in row}
+                for cl in {cl for block in rows.values() for row in block for cl in row}}
         classes = sorted(keys, key=keys.get)
         number = {cl: i for i, cl in enumerate(classes)}
-        docs = [list(map(list, keys[cl])) for cl in classes]  # shared by the documents
         rows = {b: [tuple(map(number.get, row)) for row in block] for b, block in rows.items()}
         relations = {tuple(sorted(itertools.chain.from_iterable(combo)))
                      for part in partitions for combo in itertools.product(*map(rows.get, part))}
-        listed += ((Identity(k, "pairs", frozenset(classes[i] for i in r)),
-                    {"n": k, "flavor": "pairs", "classes": [docs[i] for i in r]})
-                   for r in sorted(relations))
-    if ordered:
-        return listed
-    # one orbit walk per isomorphism class: its least member is the
-    # canonical form of every member, so the rest need no walk
-    forms, found = set(), {s for s, _ in listed}
-    while found:
-        orbit = [t for _, t in relabelings(found.pop())]
-        found.difference_update(orbit)
-        forms.add(min(orbit, key=encoding))
-    return [(s, to_json(s)) for s in sorted(forms, key=encoding)]
+        sizes.append((k, classes, [_dump(keys[cl]) for cl in classes], sorted(relations)))
+    return sizes
 
 
 def arrow_check(N: int, s: Identity, num_colors: int) -> bool:

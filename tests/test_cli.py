@@ -32,9 +32,17 @@ CYCLE_EXAMPLE = {"n": 5, "flavor": "pairs",
 CLI = shutil.which("identity-lab")
 
 
+def pinned_json(argv, stdout):
+    """A --json report is exactly ``_dump`` of itself, on one line."""
+    if "--json" in argv and stdout:
+        assert stdout == _dump(json.loads(stdout)) + "\n"
+
+
 def run(*args, **kw):
     cmd = [CLI, *args] if CLI else [sys.executable, "-m", "identity_lab.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, **kw)
+    proc = subprocess.run(cmd, capture_output=True, text=True, **kw)
+    pinned_json(args, proc.stdout)
+    return proc
 
 
 def report(proc):
@@ -46,6 +54,7 @@ def main_in_process(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
+    pinned_json(argv, out.getvalue())
     return code, out.getvalue()
 
 
@@ -305,7 +314,7 @@ def test_oracle_list_output_is_pinned(tmp_path):
     col.write_text(json.dumps({"builtin": "random", "n": 9, "colors": 3, "seed": 0}))
     argv = ["oracle", "--coloring", str(col), "--list", "--ordered", "--max-size"]
     code, out = main_in_process(*argv, "5", "--json")
-    assert code == 0
+    assert code == 0 and out == _dump(json.loads(out)) + "\n"
     output = json.loads(out)["output"]
     assert len(output["identities"]) == 45_421
     assert hashlib.sha256(_dump(output).encode()).hexdigest() == (
@@ -444,10 +453,17 @@ def test_arrow_flow(tmp_path):
     assert run("arrow", "--n", "3", "--identity", str(ident), "--colors", "2").returncode == 0
 
 
-def test_explain_flow(sk3_file, trivial5_file):
+def test_explain_flow(tmp_path, sk3_file, trivial5_file):
     proc = run("explain", "--in", sk3_file)
     assert proc.returncode == 3
     assert "cycle" in proc.stdout
+    # past the per-order bound a rank cycle is still an answer, not a guard
+    for k in ("5", "6"):
+        sk = tmp_path / f"sk{k}.json"
+        sk.write_text(json.dumps(report(run("builtin", "--family", "sk", "--k", k, "--json"))["output"]))
+        proc = run("explain", "--in", str(sk))
+        assert proc.returncode == 3
+        assert proc.stdout == "constraint cycle among classes: [0, 1]\n"
     proc = run("explain", "--in", trivial5_file)
     assert proc.returncode == 0
 

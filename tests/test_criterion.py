@@ -22,6 +22,7 @@ from identity_lab.core import elems_of, from_json, identity_from_subsets
 from identity_lab.criterion import (
     _audit_accept,
     _class_nodes,
+    _find_cycle,
     _order_search,
     _ranks,
     check,
@@ -304,6 +305,26 @@ def test_explain_rejected_reports_cycle_and_orders():
     assert any("cycle" in ln for ln in out["lines"])
     assert len(out["orders"]) == 720
     assert all(o["violation"] for o in out["orders"])
+
+
+def test_explain_reports_rank_cycles_above_the_bound():
+    # s_k(5) and s_k(6) have 15 and 21 active elements, past the per-order
+    # forensics bound; the constraint cycle explains them without orders
+    for k in (5, 6):
+        s = s_k(k)
+        assert explain(check(s), s) == {
+            "accepted": False, "lines": ["constraint cycle among classes: [0, 1]"]}
+    # an acyclic rejection that wide has no short explanation
+    s = from_json(DEEP_ORDER_SEARCH)
+    with pytest.raises(SizeGuardError, match="at most 7 active elements, got 12"):
+        explain(check(s), s)
+
+
+def test_find_cycle_needs_no_recursion():
+    edges = {i: {(i + 1) % 5000, ("p", 3)} for i in range(5000)}
+    assert _find_cycle(edges) == list(range(5000))
+    del edges[4999]
+    assert _find_cycle(edges) is None
 
 
 def test_explain_guard_on_wide_active_sets():

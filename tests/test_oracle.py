@@ -27,13 +27,14 @@ from identity_lab import (
 )
 from identity_lab.core import (
     Identity,
+    _dump,
     canonical_form,
     elems_of,
     encoding,
     identity_from_subsets,
     mask_of,
 )
-from identity_lab.oracle import Coloring, Realization
+from identity_lab.oracle import Coloring, Realization, _id_of_texts
 
 
 def _set_partitions(items):
@@ -264,6 +265,19 @@ def test_color_renaming_never_changes_realized_patterns(seed):
 def test_ordered_id_of_matches_the_expansion_loop(n, colors, seed, max_size):
     c = builtin_coloring("random", n=n, colors=colors, seed=seed)
     assert id_of(c, max_size, ordered=True) == reference_ordered_id_of(c, max_size)
+
+
+@pytest.mark.parametrize("n, colors, seed", [
+    (5, 3, 2), (6, 3, 1), (7, 3, 4), (8, 4, 6),
+])
+def test_list_texts_are_the_rendered_identities(n, colors, seed):
+    # the --list texts join class texts rendered once per size; the slow
+    # renderer dumps each identity's to_json document
+    c = builtin_coloring("random", n=n, colors=colors, seed=seed)
+    ordered = id_of(c, 5, ordered=True)
+    assert ordered == reference_ordered_id_of(c, 5)
+    assert _id_of_texts(c, 5, True) == [_dump(to_json(s)) for s in ordered]
+    assert _id_of_texts(c, 4, False) == [_dump(to_json(s)) for s in id_of(c, 4)]
 
 
 def test_unordered_id_of_matches_brute_force_at_size_4():
