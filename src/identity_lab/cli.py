@@ -170,7 +170,9 @@ def _cmd_oracle(args):
     coloring = coloring_from_json(col_raw)
     if args.list:
         texts = _id_of_texts(coloring, args.max_size, args.ordered)
-        _emit(args, [col_data], '{"identities":[' + ",".join(texts) + "]}", texts)
+        # text mode prints the texts alone: join the report only for --json
+        joined = '{"identities":[' + ",".join(texts) + "]}" if args.json else None
+        _emit(args, [col_data], joined, texts)
         return EXIT_OK
     if not args.identity:
         raise UsageError("oracle needs --identity or --list")

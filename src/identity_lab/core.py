@@ -16,8 +16,11 @@ Subsets are encoded as integer bitmasks (bit i set means element i is in
 the subset).  Public constructors and the JSON layer speak element tuples;
 the mask encoding is an internal uniformity that keeps relabeling and
 restriction cheap.  ``first_injection`` is the one pruned injection search
-behind ``embeds`` and the oracle's realization and arrow questions; every
-node it visits counts against SEARCH_GUARD.
+behind ``embeds`` and the oracle's realization and arrow questions.  Its
+targets are bits of an int: each check returns the mask of targets it
+allows at its depth, so the search filters the free targets with a few
+ANDs before it places any (forward checking), and every free target it
+passes counts against SEARCH_GUARD.
 """
 
 from __future__ import annotations
@@ -290,31 +293,46 @@ def _class_id_map(s: Identity) -> dict:
 
 def first_injection(n_src: int, n_tgt: int, ordered: bool, checks, budget=None):
     """Lex-least injection of 0..n_src-1 into 0..n_tgt-1 (increasing when
-    ordered) passing every predicate in ``checks[d]``, which reads the
-    partial map h up to h[d] and runs once d is mapped, cutting the subtree
-    of a failing prefix.  Each candidate placed spends a node of ``budget``,
-    a one-item list searches may share (SEARCH_GUARD if None); running out
+    ordered) allowed by every check in ``checks[d]``: each reads the placed
+    prefix h[:d] and returns the bitmask of targets it allows for h[d].
+
+    The search tries the allowed free targets in increasing order, so the
+    witness is the lex-least one.  Every free target counts as a node of
+    ``budget``, a one-item list searches may share (SEARCH_GUARD if None),
+    allowed or not: as each allowed one is reached, the free targets up to
+    it are charged, and the rest when the depth is exhausted.  Running out
     raises SizeGuardError.  Returns a tuple or None."""
     budget = [SEARCH_GUARD] if budget is None else budget
     h = []
 
-    def extend(d):
+    def spend(nodes, d):
+        budget[0] -= nodes
+        if budget[0] < 0:
+            budget[0] = -1  # where a node-by-node count stops
+            raise SizeGuardError(f"injection search of {n_src} into {n_tgt} passed "
+                                 f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {d}")
+
+    def extend(d, free):
         if d == n_src:
             return True
-        for t in range(h[-1] + 1 if ordered and h else 0, n_tgt):
-            if t in h:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SizeGuardError(f"injection search of {n_src} into {n_tgt} passed "
-                                     f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {d}")
-            h.append(t)
-            if all(ok(h) for ok in checks[d]) and extend(d + 1):
+        rest = free & (-2 << h[-1]) if ordered and h else free
+        allowed = rest
+        for allow in checks[d]:
+            allowed &= allow(h)
+        while allowed:
+            low = allowed & -allowed
+            reached = rest & ((low << 1) - 1)
+            rest ^= reached
+            spend(reached.bit_count(), d)
+            h.append(low.bit_length() - 1)
+            if extend(d + 1, free ^ low):
                 return True
             h.pop()
+            allowed ^= low
+        spend(rest.bit_count(), d)
         return False
 
-    return tuple(h) if extend(0) else None
+    return tuple(h) if extend(0, (1 << n_tgt) - 1) else None
 
 
 def embeds(src: Identity, tgt: Identity, ordered: bool = False):
@@ -324,7 +342,8 @@ def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     target domain (checked at its top element), and two equal-size subsets
     are equivalent iff their images are (checked at the top of their
     union).  The empty set maps to itself, so it is checked up front.
-    Returns the first witness in lex order, or None."""
+    Each depth's tests become one mask by running them on every target
+    not yet placed.  Returns the first witness in lex order, or None."""
     if src.flavor == "pairs":
         tgt = to_pairs(tgt)
     elif src.flavor != tgt.flavor:
@@ -334,14 +353,20 @@ def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     src_ids, tgt_ids = _class_id_map(src), _class_id_map(tgt)
     if src.n > tgt.n or 0 in src_ids and 0 not in tgt_ids:
         return None
-    checks = [[] for _ in range(src.n)]
+    tests = [[] for _ in range(src.n)]
     for b in filter(None, src_ids):
-        checks[b.bit_length() - 1].append(lambda h, b=b: permute_mask(b, h) in tgt_ids)
+        tests[b.bit_length() - 1].append(lambda h, b=b: permute_mask(b, h) in tgt_ids)
     for b, c in itertools.combinations(_domain_masks(src), 2):
         if b.bit_count() == c.bit_count():  # else neither side is equal
             same = src_ids[b] == src_ids[c]
-            checks[(b | c).bit_length() - 1].append(lambda h, b=b, c=c, same=same: (
+            tests[(b | c).bit_length() - 1].append(lambda h, b=b, c=c, same=same: (
                 tgt_ids[permute_mask(b, h)] == tgt_ids[permute_mask(c, h)]) == same)
+
+    def allowed(ok_all):
+        return lambda h: mask_of(t for t in range(tgt.n) if t not in h
+                                 and all(ok(h + [t]) for ok in ok_all))
+
+    checks = [[allowed(ok_all)] if ok_all else [] for ok_all in tests]
     h = first_injection(src.n, tgt.n, ordered, checks)
     return None if h is None else Embedding(h, ordered)
 

@@ -205,25 +205,50 @@ def _stored_pair_classes(s: Identity):
     return [[elems_of(b) for b in cl] for cl in s.class_list()]
 
 
-def _class_checks(classes, n: int, col):
+def _class_checks(classes, n: int, col, by, colored):
     """``first_injection`` checks making each class monochromatic under the
-    pair colors ``col[x][y]``: with its pairs sorted by larger element, the
-    first must be colored (>= 0, a prune on arrow's partial colorings) and
-    each later one must match it, each at its own depth."""
+    pair colors ``col[x][y]``, as masks of allowed targets: ``by[x][v]``
+    holds the targets y with ``col[x][y] == v`` and ``colored[x]`` those
+    with a color at all (arrow's partial colorings leave pairs uncolored,
+    and an uncolored pair matches nothing).  With its pairs sorted by
+    larger element, a class's first pair (a0, b0) must be colored, and
+    each later pair (a, b) must match it: at depth b > b0 that allows
+    ``by[h[a]][col[h[a0]][h[b0]]]``, and at b == b0 the targets that h[a]
+    and h[a0] see in equal colors."""
     checks = [[] for _ in range(n)]
     for cl in classes:
         (a0, b0), *rest = sorted(cl, key=max)
-        checks[b0].append(lambda h, a0=a0, b0=b0: col[h[a0]][h[b0]] >= 0)
+        checks[b0].append(lambda h, a0=a0: colored[h[a0]])
         for a, b in rest:
-            checks[b].append(lambda h, a=a, b=b, a0=a0, b0=b0:
-                             col[h[a]][h[b]] == col[h[a0]][h[b0]])
+            if b == b0:
+                checks[b].append(lambda h, a=a, a0=a0: _equal_colors(by[h[a]], by[h[a0]]))
+            else:
+                checks[b].append(lambda h, a=a, a0=a0, b0=b0:
+                                 by[h[a]].get(col[h[a0]][h[b0]], 0))
     return checks
+
+
+def _equal_colors(bx: dict, by: dict) -> int:
+    """Targets that two vertices, with per-color masks bx and by, see in one color."""
+    same = 0
+    for v, m in bx.items():
+        same |= m & by.get(v, 0)
+    return same
+
+
+def _flip_pair(by, colored, x: int, y: int, v: int) -> None:
+    """Toggle pair (x, y) in color v's masks: color it, or uncolor it."""
+    by[x][v] = by[x].get(v, 0) ^ 1 << y
+    by[y][v] = by[y].get(v, 0) ^ 1 << x
+    colored[x] ^= 1 << y
+    colored[y] ^= 1 << x
 
 
 def realizes(c: Coloring, s: Identity, ordered: bool = False):
     """First injection (lex order) forcing equal colors on every class, or
     None.  One ``first_injection`` search (increasing maps when ordered)
-    checks each pair of a class against the class's first pair.
+    checks each pair of a class against the class's first pair, picking
+    candidates from per-vertex color masks.
     """
     classes = _stored_pair_classes(s)
     if s.n > c.n_ground:
@@ -232,9 +257,12 @@ def realizes(c: Coloring, s: Identity, ordered: bool = False):
         )
     if c.arity < 2:
         raise UsageError("realization needs a pair layer in the coloring")
-    ground = range(c.n_ground)
-    col = [[c.pair(x, y) if x != y else None for y in ground] for x in ground]
-    h = first_injection(s.n, c.n_ground, ordered, _class_checks(classes, s.n, col))
+    n = c.n_ground
+    col, by, colored = [[None] * n for _ in range(n)], [{} for _ in range(n)], [0] * n
+    for x, y in _pairs(n):
+        col[x][y] = col[y][x] = c.table[(x, y)]
+        _flip_pair(by, colored, x, y, col[x][y])
+    h = first_injection(s.n, n, ordered, _class_checks(classes, s.n, col, by, colored))
     return None if h is None else Realization(
         h, ordered, tuple(col[h[a]][h[b]] for (a, b), *_ in classes))
 
@@ -377,12 +405,15 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     Backtracks over the pairs in colex order (the first C(k,2) are K_k),
     using color v only after v-1 (restricted growth: realization ignores
     color names).  Each node runs ``first_injection`` on the partial
-    coloring, each uncolored pair with its own negative color: a hit
-    settles the subtree, a full coloring without one answers False.  All
-    searches share one SEARCH_GUARD node budget: by R(3,3) = 6 the
-    2-colored triangle is False at N = 5 and True from 6 on; 3-colored, it
-    is False up to 10 and refused at 11.  N is checked against
-    GROUND_BOUND before the pair list and color table are built."""
+    coloring: coloring or uncoloring a pair flips its two bits in the
+    per-vertex color masks of ``_class_checks``, and an uncolored pair is
+    in no mask, so it matches nothing.  The masks have an entry only for
+    colors in use, never one per palette color.  A hit settles the
+    subtree, a full coloring without one answers False.  All searches
+    share one SEARCH_GUARD node budget: by R(3,3) = 6 the 2-colored
+    triangle is False at N = 5 and True from 6 on; 3-colored, it is False
+    up to 10 and refused at 11.  N is checked against GROUND_BOUND before
+    the pair list and color table are built."""
     check_ground(N)
     if num_colors < 1:
         raise UsageError("need at least one color")
@@ -390,10 +421,8 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     if s.n > N:
         return False
     pairs = [(x, y) for y in range(N) for x in range(y)]
-    col = [[0] * N for _ in range(N)]
-    for k, (x, y) in enumerate(pairs):
-        col[x][y] = col[y][x] = -1 - k
-    checks = _class_checks(classes, s.n, col)
+    col, by, colored = [[None] * N for _ in range(N)], [{} for _ in range(N)], [0] * N
+    checks = _class_checks(classes, s.n, col, by, colored)
     budget = [SEARCH_GUARD]
 
     def forced(k, used):
@@ -405,9 +434,11 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
         x, y = pairs[k]
         for v in range(min(used + 1, num_colors)):
             col[x][y] = col[y][x] = v
+            _flip_pair(by, colored, x, y, v)
             if not forced(k + 1, max(used, v + 1)):
                 return False
-        col[x][y] = col[y][x] = -1 - k
+            _flip_pair(by, colored, x, y, v)
+        col[x][y] = col[y][x] = None
         return True
 
     return forced(0, 0)

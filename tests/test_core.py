@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from identity_lab import (
     Embedding,
     Identity,
+    SizeGuardError,
     UsageError,
     canonical_form,
     embeds,
@@ -24,16 +25,75 @@ from identity_lab import (
     trivial_full,
     validate,
 )
+from identity_lab import core
 from identity_lab.closure import generate_catalog
 from identity_lab.core import (
+    SEARCH_GUARD,
     _class_id_map,
     _domain_masks,
     all_pair_masks,
     elems_of,
     encoding,
+    first_injection,
     mask_of,
     permute_mask,
 )
+
+
+def reference_first_injection(n_src, n_tgt, ordered, checks, budget=None):
+    """Slow oracle for ``first_injection``: place every free target in
+    increasing order, spend a node on it, then run the predicates of
+    ``checks[d]`` on the partial map h up to h[d]."""
+    budget = [SEARCH_GUARD] if budget is None else budget
+    h = []
+
+    def extend(d):
+        if d == n_src:
+            return True
+        for t in range(h[-1] + 1 if ordered and h else 0, n_tgt):
+            if t in h:
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SizeGuardError(f"injection search of {n_src} into {n_tgt} passed "
+                                     f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {d}")
+            h.append(t)
+            if all(ok(h) for ok in checks[d]) and extend(d + 1):
+                return True
+            h.pop()
+        return False
+
+    return tuple(h) if extend(0) else None
+
+
+def shared_budget(monkeypatch, module):
+    """Make every ``first_injection`` call of ``module`` spend one budget
+    list, whatever budget the caller passes, and return that list."""
+    budget = [1 << 40]
+    monkeypatch.setattr(module, "first_injection",
+                        lambda n_src, n_tgt, ordered, checks, _=None:
+                        first_injection(n_src, n_tgt, ordered, checks, budget))
+    return budget
+
+
+def reference_embeds(src, tgt, ordered, budget):
+    """``embeds`` as one ``reference_first_injection`` search: its domain
+    and equivalence predicates, each run on the partial map."""
+    if src.flavor == "pairs":
+        tgt = to_pairs(tgt)
+    src_ids, tgt_ids = _class_id_map(src), _class_id_map(tgt)
+    if src.n > tgt.n or 0 in src_ids and 0 not in tgt_ids:
+        return None
+    checks = [[] for _ in range(src.n)]
+    for b in filter(None, src_ids):
+        checks[b.bit_length() - 1].append(lambda h, b=b: permute_mask(b, h) in tgt_ids)
+    for b, c in itertools.combinations(_domain_masks(src), 2):
+        if b.bit_count() == c.bit_count():
+            same = src_ids[b] == src_ids[c]
+            checks[(b | c).bit_length() - 1].append(lambda h, b=b, c=c, same=same: (
+                tgt_ids[permute_mask(b, h)] == tgt_ids[permute_mask(c, h)]) == same)
+    h = reference_first_injection(src.n, tgt.n, ordered, checks, budget)
+    return None if h is None else Embedding(h, ordered)
 
 
 def brute_embeds(src, tgt, ordered=False):
@@ -316,6 +376,21 @@ def test_embeds_matches_brute_force(cat4):
     # the empty set maps to itself, so it needs the empty set in the target
     assert embeds(PARTIALS[4], PARTIALS[5]) is None
     assert embeds(PARTIALS[4], PARTIALS[2]) == Embedding((0, 2), False)
+
+
+def test_embeds_spends_the_reference_search_budget(cat4, monkeypatch):
+    # same witness and same nodes as the per-candidate search, on budgets
+    # shared by every query
+    budget, ref = shared_budget(monkeypatch, core), [1 << 40]
+    pool = [trivial(4), s_k(3), s_prime_n(2)] + cat4.members()
+    full = generate_catalog(3, "full").members() + [trivial_full(4)]
+    cases = [(s, t) for s in cat4.members() for t in pool]
+    cases += [(s, t) for s in full for t in full] + [(s, t) for s in PARTIALS for t in PARTIALS]
+    for src, tgt in cases:
+        for ordered in (False, True):
+            assert embeds(src, tgt, ordered) == reference_embeds(src, tgt, ordered, ref), (
+                to_json(src), to_json(tgt), ordered)
+            assert budget == ref
 
 
 def test_ordered_embedding_must_increase():

@@ -34,7 +34,9 @@ from identity_lab.core import (
     identity_from_subsets,
     mask_of,
 )
+from identity_lab import oracle
 from identity_lab.oracle import Coloring, Realization, _id_of_texts
+from test_core import reference_first_injection, shared_budget
 
 
 def _set_partitions(items):
@@ -82,6 +84,68 @@ def brute_arrow(N, s, num_colors):
         ):
             return False
     return True
+
+
+def reference_class_checks(classes, n, col):
+    """Per-candidate predicates making each class monochromatic: a class's
+    first pair (by larger element) must be colored (>= 0) and each later
+    pair must match it, each at its own depth."""
+    checks = [[] for _ in range(n)]
+    for cl in classes:
+        (a0, b0), *rest = sorted(cl, key=max)
+        checks[b0].append(lambda h, a0=a0, b0=b0: col[h[a0]][h[b0]] >= 0)
+        for a, b in rest:
+            checks[b].append(lambda h, a=a, b=b, a0=a0, b0=b0:
+                             col[h[a]][h[b]] == col[h[a0]][h[b0]])
+    return checks
+
+
+def reference_realizes(c, s, ordered, budget):
+    """``realizes`` as one ``reference_first_injection`` search."""
+    classes = [[elems_of(b) for b in cl] for cl in s.class_list()]
+    ground = range(c.n_ground)
+    col = [[c.pair(x, y) if x != y else None for y in ground] for x in ground]
+    h = reference_first_injection(s.n, c.n_ground, ordered,
+                                  reference_class_checks(classes, s.n, col), budget)
+    return None if h is None else Realization(
+        h, ordered, tuple(col[h[a]][h[b]] for (a, b), *_ in classes))
+
+
+def reference_arrow_check(N, s, num_colors, budget):
+    """``arrow_check`` with every search a ``reference_first_injection``
+    on ``budget``, each uncolored pair carrying its own negative color."""
+    if s.n > N:
+        return False
+    classes = [[elems_of(b) for b in cl] for cl in s.class_list()]
+    pairs = [(x, y) for y in range(N) for x in range(y)]
+    col = [[0] * N for _ in range(N)]
+    for k, (x, y) in enumerate(pairs):
+        col[x][y] = col[y][x] = -1 - k
+    checks = reference_class_checks(classes, s.n, col)
+
+    def forced(k, used):
+        if reference_first_injection(s.n, N, False, checks, budget) is not None:
+            return True
+        if k == len(pairs):
+            return False
+        x, y = pairs[k]
+        for v in range(min(used + 1, num_colors)):
+            col[x][y] = col[y][x] = v
+            if not forced(k + 1, max(used, v + 1)):
+                return False
+        col[x][y] = col[y][x] = -1 - k
+        return True
+
+    return forced(0, 0)
+
+
+def random_pattern(rng, k, labels):
+    """A pairs identity on k elements: each pair draws one of ``labels``
+    class labels."""
+    by = {}
+    for p in itertools.combinations(range(k), 2):
+        by.setdefault(rng.randrange(labels), []).append(list(p))
+    return identity_from_subsets(k, "pairs", list(by.values()))
 
 
 def reference_ordered_id_of(c, max_size):
@@ -332,6 +396,17 @@ def test_arrow_check_guard():
         arrow_check(11, TRIANGLE, 3)  # R(3,3,3) = 17 is far out of reach
 
 
+def test_arrow_check_sizes_masks_by_the_colors_used():
+    # K4 has 6 pairs, so no coloring uses more than 6 of a billion colors
+    assert arrow_check(4, TRIANGLE, 10**9) is arrow_check(4, TRIANGLE, 6) is False
+
+
+def test_realizes_guard_counts_every_free_target():
+    # refused at the same node and depth as the per-candidate search
+    with pytest.raises(SizeGuardError, match=r"2097152 nodes\) at depth 5"):
+        realizes(builtin_coloring("min_pair", n=16), s_k(4))
+
+
 def test_arrow_check_refuses_ground_above_the_bound():
     triangle = identity_from_subsets(3, "pairs", [[[0, 1], [0, 2], [1, 2]]])
     with pytest.raises(SizeGuardError, match=r"ground size 73 exceeds the bound 72"):
@@ -345,7 +420,7 @@ def test_arrow_check_ramsey_anchor():
     ]
     # R(3,3,3) = 17 (Greenwood & Gleason, 1955): below 17 points some
     # 3-coloring has no monochromatic triangle
-    assert [arrow_check(N, TRIANGLE, 3) for N in (8, 9)] == [False, False]
+    assert [arrow_check(N, TRIANGLE, 3) for N in (8, 9, 10)] == [False, False, False]
     # K5 has chromatic index 5, so 4 colors force two touching equal pairs
     assert arrow_check(5, CHERRY, 4) is True
 
@@ -358,6 +433,41 @@ def test_arrow_check_matches_brute_force(cat4):
             for s in cat4.members():
                 assert arrow_check(N, s, colors) == brute_arrow(N, s, colors), (
                     N, colors, to_json(s))
+
+
+def test_realizes_spends_the_reference_search_budget(monkeypatch):
+    # same witness and same nodes as the per-candidate search, on budgets
+    # shared by every query
+    budget, ref = shared_budget(monkeypatch, oracle), [1 << 40]
+    rng = random.Random(13)
+    colorings = [builtin_coloring("min_pair", n=n) for n in (6, 9, 12)]
+    colorings += [builtin_coloring("sierpinski_meet", len=n) for n in (3, 4)]
+    colorings += [builtin_coloring("random", n=rng.randint(6, 10),
+                                   colors=rng.randint(1, 4), seed=seed)
+                  for seed in range(8)]
+    for c in colorings:
+        patterns = [random_pattern(rng, rng.randint(3, 6), rng.randint(1, 4))
+                    for _ in range(6)]
+        h = rng.sample(range(c.n_ground), 5)  # a pattern c surely realizes
+        by = {}
+        for a, b in itertools.combinations(range(5), 2):
+            by.setdefault(c.pair(h[a], h[b]), []).append([a, b])
+        patterns += [identity_from_subsets(5, "pairs", list(by.values())), s_k(3)]
+        for s in patterns:
+            for ordered in (False, True):
+                assert realizes(c, s, ordered) == reference_realizes(c, s, ordered, ref), (
+                    coloring_to_json(c), to_json(s), ordered)
+                assert budget == ref
+
+
+def test_arrow_check_spends_the_reference_search_budget(cat4, monkeypatch):
+    budget, ref = shared_budget(monkeypatch, oracle), [1 << 40]
+    for N in range(1, 8):
+        for colors in (1, 2, 3):
+            for s in cat4.members():
+                assert arrow_check(N, s, colors) == reference_arrow_check(N, s, colors, ref), (
+                    N, colors, to_json(s))
+                assert budget == ref
 
 
 def test_realizes_matches_brute_force():
