@@ -28,13 +28,19 @@ sends each child slot to one parent slot or to a fresh singleton, so it
 is a fixed slot map, built once per parent size; a child's key is the
 parent's key gathered through the map and renormalized.  Only a new key
 becomes an ``Identity``.
+
+A relabeling is a slot map too: pi sends slot j's mask back to one slot of
+the original, so the orbit of a key is its gathers through one table per
+size (``_relabel_gathers``), and unordered membership walks that table
+against the catalog's keys without building an ``Identity``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Identity,
@@ -44,7 +50,6 @@ from .core import (
     from_json,
     mask_of,
     permute_mask,
-    relabelings,
     to_json,
 )
 from .errors import SizeGuardError, UsageError
@@ -132,14 +137,22 @@ class Catalog:
     """Deduplicated store of ordered identities closed under the two
     operations within the size bound.
 
-    Deduplication is by exact ordered encoding.  Unordered queries walk
-    the query's relabelings against ``entries``; no canonical index is
-    kept.
+    Deduplication is by exact ordered encoding.  ``keys`` holds the
+    first-occurrence slot key of every entry (a key's length fixes its
+    size), derived from ``entries`` when not given; ``generate_catalog``
+    hands over the key set its BFS built.  Unordered queries gather the
+    query's key through every relabeling against ``keys``; no canonical
+    index is kept.
     """
 
     max_n: int
     flavor: str
     entries: dict  # Identity -> CatalogEntry, in discovery order
+    keys: set = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.keys is None:
+            self.keys = {_slot_key(s) for s in self.entries}
 
     def __contains__(self, s: Identity) -> bool:
         return s in self.entries
@@ -154,6 +167,62 @@ class Catalog:
 def _slots(n: int, flavor: str) -> list:
     """The slots of a size-n identity: its domain masks, in order."""
     return _domain_masks(Identity(n, flavor, frozenset()))
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_index(n: int, flavor: str) -> dict:
+    """Slot number of each domain mask of a size-n identity, in slot order."""
+    return {b: i for i, b in enumerate(_slots(n, flavor))}
+
+
+def _slot_key(s: Identity) -> tuple:
+    """First-occurrence slot key of a pairs or full identity: slot i
+    carries the index of the first slot in its class."""
+    index = _slot_index(s.n, s.flavor)
+    key = list(range(len(index)))
+    for c in s.classes:
+        slots = sorted(map(index.__getitem__, c))
+        for i in slots:
+            key[i] = slots[0]
+    return tuple(key)
+
+
+def _gather(idx):
+    """``operator.itemgetter(*idx)``, returning a tuple at every length:
+    itemgetter needs an index, and with one it returns a bare item."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    return lambda key, idx=tuple(idx): tuple(key[i] for i in idx)
+
+
+@functools.lru_cache(maxsize=None)
+def _relabel_gathers(n: int, flavor: str) -> tuple:
+    """One slot gather per permutation pi of 0..n-1, in
+    itertools.permutations order: a key gathered through pi's entry and
+    renormalized with ``raw.index`` is the key of ``core._relabel(s, pi)``,
+    since slot j of the relabeling reads the slot of pi^-1 of its mask.
+    Built once per size, for n <= GENERATION_BOUND only.
+    """
+    if n > GENERATION_BOUND:
+        raise SizeGuardError(
+            f"relabeling tables support n <= {GENERATION_BOUND}, got {n}"
+        )
+    index = _slot_index(n, flavor)
+    gathers = []
+    for pi in itertools.permutations(range(n)):
+        inverse = [0] * n
+        for x, y in enumerate(pi):
+            inverse[y] = x
+        gathers.append(_gather([index[permute_mask(b, inverse)] for b in index]))
+    return tuple(gathers)
+
+
+def _relabeled_keys(key: tuple, n: int, flavor: str):
+    """Walk the orbit of a size-n key: yield the key of each relabeling,
+    one per permutation in ``_relabel_gathers`` order."""
+    for gather in _relabel_gathers(n, flavor):
+        raw = gather(key)
+        yield tuple(map(raw.index, raw))
 
 
 def _generation_steps(n: int, max_n: int, flavor: str):
@@ -188,11 +257,8 @@ def _generation_steps(n: int, max_n: int, flavor: str):
                 idx.append(fresh)
                 fresh += 1
         width = max(width, fresh)
-        # itemgetter needs an index, and with one it returns a bare item
-        gather = (operator.itemgetter(*idx) if len(idx) > 1
-                  else lambda key, idx=idx: tuple(key[i] for i in idx))
         trace = (("res", kept),) if m == n else (("dup", m), ("res", kept))
-        steps.append((trace, len(kept), gather))
+        steps.append((trace, len(kept), _gather(idx)))
     return tuple(range(len(slots), width)), steps
 
 
@@ -245,7 +311,7 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
                     entries[t] = CatalogEntry(t, base + trace)
                     discovered.append((t, child))
         frontier = discovered
-    return Catalog(max_n, flavor, entries)
+    return Catalog(max_n, flavor, entries, seen)
 
 
 def replay_trace(trace, flavor: str = "pairs") -> Identity:
@@ -266,9 +332,12 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
     """Membership query: exact encoding when ordered, up to relabeling
     otherwise.
 
-    Unordered queries walk the orbit of s (``core.relabelings``) and stop
-    at the first relabeling that is an exact entry.  An absent pattern
-    costs n! hash lookups, and n <= max_n <= GENERATION_BOUND.
+    Unordered queries walk the orbit of s on slot keys
+    (``_relabeled_keys``): s's key is gathered through each permutation
+    of its size, renormalized with ``raw.index`` as the BFS does, and
+    looked up in the catalog's ``keys``; the walk stops at the first hit
+    and builds no ``Identity``.  An absent pattern costs n! gathers and
+    lookups, and n <= max_n <= GENERATION_BOUND.
     """
     if s.n > cat.max_n:
         raise SizeGuardError(
@@ -280,7 +349,7 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
         )
     if ordered:
         return s in cat.entries
-    return any(t in cat.entries for _, t in relabelings(s))
+    return any(t in cat.keys for t in _relabeled_keys(_slot_key(s), s.n, s.flavor))
 
 
 def catalog_to_json(cat: Catalog) -> dict:

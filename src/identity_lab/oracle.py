@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .closure import _identity_of, _relabeled_keys, _slot_key
 from .core import (
     SEARCH_GUARD,
     Identity,
@@ -27,9 +28,7 @@ from .core import (
     _dump,
     check_ground,
     elems_of,
-    encoding,
     first_injection,
-    relabelings,
     to_json,
 )
 from .errors import SizeGuardError, UsageError
@@ -316,15 +315,36 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
 
 def _canonical_closure(found) -> list:
     """The canonical forms of ``found``, duplicate-free and sorted by
-    ``encoding``.  Each isomorphism class is walked once: the orbit of one
-    identity is removed from the rest, and its least member by
-    ``encoding`` is ``canonical_form`` of each of them."""
-    forms, found = set(), set(found)
-    while found:
-        orbit = [t for _, t in relabelings(found.pop())]
-        found.difference_update(orbit)
-        forms.add(min(orbit, key=encoding))
-    return sorted(forms, key=encoding)
+    ``encoding``.  Each isomorphism class is walked once, on slot keys:
+    the orbit of one key (``closure._relabeled_keys``) is removed from the
+    rest, and its least member is ``canonical_form`` of each of them.
+    Pair slots are in lex order, so a key's stored classes as slot-index
+    lists in first-slot order (``_stored_slots``) compare as ``encoding``
+    compares the identities.  Only the least key of an orbit becomes an
+    ``Identity``."""
+    by_size = {}
+    for s in found:
+        by_size.setdefault(s.n, set()).add(_slot_key(s))
+    forms, shared = [], {}
+    for n, keys in sorted(by_size.items()):
+        least = []
+        while keys:
+            orbit = set(_relabeled_keys(keys.pop(), n, "pairs"))
+            keys -= orbit
+            least.append(min(orbit, key=_stored_slots))
+        least.sort(key=_stored_slots)
+        forms += [_identity_of(k, n, "pairs", shared) for k in least]
+    return forms
+
+
+def _stored_slots(key: tuple) -> list:
+    """The non-singleton classes of a slot key, each the list of its
+    slots, in first-slot order."""
+    classes = {}
+    for i, first in enumerate(key):
+        if first != i:
+            classes.setdefault(first, [first]).append(i)
+    return sorted(classes.values())
 
 
 def _id_of_texts(c: Coloring, max_size: int, ordered: bool) -> list:

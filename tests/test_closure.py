@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -28,14 +29,22 @@ from identity_lab import (
     trivial,
 )
 from identity_lab.cli import _dump
-from identity_lab.closure import CatalogEntry, _generation_steps, _identity_of
+from identity_lab.closure import (
+    Catalog,
+    CatalogEntry,
+    _generation_steps,
+    _identity_of,
+    _relabel_gathers,
+)
 from identity_lab.core import (
     Identity,
     _domain_masks,
+    _relabel,
     canonical_form,
     encoding,
     identity_from_subsets,
     mask_of,
+    relabelings,
 )
 
 CATALOG6_SHA256 = "6dd956271bd0f926b828d747255a723dea36805631b2d3528e905038369da069"
@@ -367,6 +376,113 @@ def test_six_subset_sweep(cat6, cat6_index, family, absent_expected):
         if not member:
             assert r not in cat6_index
     assert absent == absent_expected
+
+
+def relabeling_member(cat, s):
+    """Slow reference for unordered membership: is some relabeling of s an
+    exact entry?"""
+    return any(t in cat.entries for _, t in relabelings(s))
+
+
+def random_identity(rng, n, flavor):
+    """A seeded random pairs or full identity: each cardinality layer of
+    the slots is split into about half as many classes as it has slots."""
+    layers = {}
+    for b in _domain_masks(Identity(n, flavor, frozenset())):
+        layers.setdefault(b.bit_count(), []).append(b)
+    classes = []
+    for layer in layers.values():
+        groups = {}
+        for b in layer:
+            groups.setdefault(rng.randrange(len(layer) // 2 + 1), []).append(b)
+        classes += [frozenset(g) for g in groups.values() if len(g) >= 2]
+    return Identity(n, flavor, frozenset(classes))
+
+
+@pytest.mark.parametrize(
+    "max_n, flavor", [(1, "pairs"), (2, "pairs"), (2, "full"), (6, "pairs"), (5, "full")]
+)
+def test_key_walk_matches_relabelings_and_bucket_index(cat6, full5, max_n, flavor):
+    # relabeled entries and seeded random patterns, every size up to the
+    # bound; sizes 1 and 2 have keys of 0/1 (pairs) and 2/4 (full) slots
+    cat = {(6, "pairs"): cat6, (5, "full"): full5}.get((max_n, flavor))
+    cat = cat or generate_catalog(max_n, flavor)
+    index, rng = BucketIndex(cat), random.Random(11)
+    entries = [t for t in cat.members() if t.n <= 5]
+    queries = [_relabel(t, tuple(rng.sample(range(t.n), t.n)))
+               for t in rng.sample(entries, min(40, len(entries)))]
+    queries += [random_identity(rng, rng.randint(1, min(max_n, 5)), flavor) for _ in range(40)]
+    answers = []
+    for s in queries:
+        member = member_of_catalog(cat, s)
+        assert member == relabeling_member(cat, s) == (s in index), to_json(s)
+        answers.append(member)
+    assert all(answers[:len(queries) - 40])
+    if max_n >= 5:
+        assert answers.count(False) >= 10  # the random half is mostly absent
+
+
+@pytest.mark.parametrize("flavor", ["pairs", "full"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relabel_gathers_are_the_slot_form_of_relabel(cat6, full5, n, flavor):
+    # every entry of the size, and every one-class identity on two slots
+    # of equal cardinality, which together pin each slot of each gather
+    slots = _domain_masks(Identity(n, flavor, frozenset()))
+    pinning = [Identity(n, flavor, frozenset([frozenset((b, c))]))
+               for b, c in itertools.combinations(slots, 2) if b.bit_count() == c.bit_count()]
+    cat = cat6 if flavor == "pairs" else full5
+    sample = [t for t in cat.members() if t.n == n] + pinning
+    gathers = _relabel_gathers(n, flavor)
+    perms = list(itertools.permutations(range(n)))
+    assert len(gathers) == len(perms)
+    for pi, gather in zip(perms, gathers):
+        raw = gather(tuple(range(len(slots))))
+        assert type(raw) is tuple and len(raw) == len(slots)
+        for s in sample:
+            raw = gather(slot_key(s))
+            assert tuple(map(raw.index, raw)) == slot_key(_relabel(s, pi)), (pi, to_json(s))
+
+
+def test_relabel_gathers_stop_at_the_generation_bound():
+    with pytest.raises(SizeGuardError):
+        _relabel_gathers(8, "pairs")
+
+
+def test_catalog_keys_are_the_entries_keys(cat6, full5):
+    for cat in (cat6, full5):
+        expected = {slot_key(s) for s in cat.entries}
+        assert cat.keys == expected and len(expected) == len(cat)
+        # the public constructor derives the same set from the entries
+        assert Catalog(cat.max_n, cat.flavor, dict(cat.entries)).keys == expected
+        back = catalog_from_json(catalog_to_json(cat))
+        assert back.keys == expected
+        assert list(back.entries) == list(cat.entries)
+
+
+def test_catalog_loader_keys_and_refusals(cat4):
+    d = catalog_to_json(cat4)
+    # classes and subsets listed in another order, and a class listed
+    # twice, load as the same catalog with the same keys
+    shuffled = json.loads(json.dumps(d))
+    for item in shuffled["entries"]:
+        item["identity"]["classes"] = [[sub[::-1] for sub in cl[::-1]]
+                                       for cl in item["identity"]["classes"][::-1]]
+    twice = json.loads(json.dumps(d))
+    last = twice["entries"][-1]["identity"]
+    last["classes"].append(last["classes"][0])
+    for doc in (shuffled, twice):
+        back = catalog_from_json(doc)
+        assert list(back.entries) == list(cat4.entries) and back.keys == cat4.keys
+    # a boolean subset, and two overlapping classes, are refused with
+    # from_json's messages even after the same classes loaded as valid
+    a, b = [[0, 1], [2, 3]], [[0, 1], [1, 3]]
+    for classes, message in (([[[False, True], [2, 3]]], "not a list of non-negative integers"),
+                             ([a, b], r"subset \(0, 1\) appears in two classes")):
+        doc = {"max_n": 4, "entries": [
+            {"identity": {"n": 4, "flavor": "pairs", "classes": cls}, "trace": []}
+            for cls in ([a], [b], classes)]}
+        with pytest.raises(UsageError, match=message):
+            catalog_from_json(doc)
 
 
 def test_member_rejects_oversized_query(cat4):
