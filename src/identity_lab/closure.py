@@ -139,8 +139,8 @@ class Catalog:
 
     Deduplication is by exact ordered encoding.  ``keys`` holds the
     first-occurrence slot key of every entry (a key's length fixes its
-    size), derived from ``entries`` when not given; ``generate_catalog``
-    hands over the key set its BFS built.  Unordered queries gather the
+    size), always derived from ``entries``: it is the set the BFS of
+    ``generate_catalog`` calls ``seen``.  Unordered queries gather the
     query's key through every relabeling against ``keys``; no canonical
     index is kept.
     """
@@ -148,11 +148,10 @@ class Catalog:
     max_n: int
     flavor: str
     entries: dict  # Identity -> CatalogEntry, in discovery order
-    keys: set = field(default=None, repr=False)
+    keys: set = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.keys is None:
-            self.keys = {_slot_key(s) for s in self.entries}
+        self.keys = {_slot_key(s) for s in self.entries}
 
     def __contains__(self, s: Identity) -> bool:
         return s in self.entries
@@ -185,6 +184,18 @@ def _slot_key(s: Identity) -> tuple:
         for i in slots:
             key[i] = slots[0]
     return tuple(key)
+
+
+def _stored_slots(key: tuple) -> list:
+    """The non-singleton classes of a slot key, each the list of its
+    slots, in first-slot order.  Pair slots are in lex ``(i, j)`` order,
+    so for pairs keys this compares as ``encoding`` compares the
+    identities."""
+    classes = {}
+    for i, first in enumerate(key):
+        if first != i:
+            classes.setdefault(first, [first]).append(i)
+    return sorted(classes.values())
 
 
 def _gather(idx):
@@ -234,8 +245,7 @@ def _generation_steps(n: int, max_n: int, flavor: str):
     slot is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a
     fresh singleton.  ``gather(key + fresh)`` is the child's raw labels.
     """
-    slots = _slots(n, flavor)
-    index = {b: i for i, b in enumerate(slots)}
+    slots, index = _slots(n, flavor), _slot_index(n, flavor)
     splits = [(n, tuple(y for y in range(n) if y != x)) for x in range(n if n > 1 else 0)]
     fates = (0, 2) if n == max_n else (0, 1, 2)
     for m in range(n):
@@ -269,6 +279,35 @@ def _identity_of(key: tuple, n: int, flavor: str, shared: dict) -> Identity:
         groups.setdefault(label, []).append(b)
     classes = (frozenset(g) for g in groups.values() if len(g) >= 2)
     return Identity(n, flavor, frozenset(shared.setdefault(c, c) for c in classes))
+
+
+def canonical_forms(identities) -> list:
+    """The canonical forms of some pairs identities, duplicate-free and
+    sorted by ``encoding``.
+
+    Each isomorphism class is walked once, on slot keys: the orbit of one
+    key (``_relabeled_keys``) is removed from the rest, and its least key
+    by ``_stored_slots`` is the key of ``canonical_form`` of each of them.
+    Only that key becomes an ``Identity``.  Sizes are bounded by
+    GENERATION_BOUND, the bound of the relabeling tables.
+    """
+    by_size = {}
+    for s in identities:
+        if s.flavor != "pairs":
+            raise UsageError(
+                f"canonical_forms takes pairs identities, got {s.flavor!r}"
+            )
+        by_size.setdefault(s.n, set()).add(_slot_key(s))
+    forms, shared = [], {}
+    for n, keys in sorted(by_size.items()):
+        least = []
+        while keys:
+            orbit = set(_relabeled_keys(keys.pop(), n, "pairs"))
+            keys -= orbit
+            least.append(min(orbit, key=_stored_slots))
+        least.sort(key=_stored_slots)
+        forms += [_identity_of(k, n, "pairs", shared) for k in least]
+    return forms
 
 
 def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
@@ -311,7 +350,8 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
                     entries[t] = CatalogEntry(t, base + trace)
                     discovered.append((t, child))
         frontier = discovered
-    return Catalog(max_n, flavor, entries, seen)
+    del seen  # freed before the catalog derives the same set from its entries
+    return Catalog(max_n, flavor, entries)
 
 
 def replay_trace(trace, flavor: str = "pairs") -> Identity:
@@ -378,6 +418,42 @@ def _check_step(op, arg) -> None:
         raise UsageError(f"trace step {[op, arg]!r} is not ['dup', m] or ['res', kept]")
 
 
+def _cached_identity(d, max_n: int, flavor: str, known: dict, shared: dict):
+    """``from_json(d)`` with its classes stored once, or None when only
+    the full parse can say.
+
+    Only an entry of the catalog's flavor and of size 1..max_n, with no
+    domain and every class a list of lists of ints, is taken here.  Each
+    of its classes is validated alone, once per size, by ``from_json`` of
+    a one-class identity; the checks left for the entry are the ones
+    between classes, and its distinct classes must be disjoint.
+    """
+    if type(d) is not dict or d.get("domain") is not None:
+        return None
+    n, classes = d.get("n"), d.get("classes")
+    if (type(n) is not int or not 1 <= n <= max_n or d.get("flavor") != flavor
+            or type(classes) is not list
+            or not set(map(type, classes)) <= {list}
+            or not set(map(type, itertools.chain.from_iterable(classes))) <= {list}
+            or not set(map(type, itertools.chain.from_iterable(
+                itertools.chain.from_iterable(classes)))) <= {int}):
+        return None
+    found = set()
+    for cl in classes:
+        k = (n, tuple(map(tuple, cl)))
+        c = known.get(k)
+        if c is None:
+            try:
+                (c,) = from_json({"n": n, "flavor": flavor, "classes": [cl]}).classes
+            except UsageError:
+                return None
+            c = known[k] = shared.setdefault(c, c)
+        found.add(c)
+    if sum(map(len, found)) != len(frozenset().union(*found)):
+        return None
+    return Identity(n, flavor, frozenset(found))
+
+
 def catalog_from_json(d: dict) -> Catalog:
     """Parse a catalog and check its shape before it is trusted.
 
@@ -386,7 +462,10 @@ def catalog_from_json(d: dict) -> Catalog:
     than max_n or of another flavor, a malformed trace step and a
     repeated entry.  Traces are not replayed here; the tests replay every
     stored trace.  Equal classes and equal trace steps are stored once:
-    the 4262 entries of the size-6 catalog share 187 distinct classes.
+    the 4262 entries of the size-6 catalog share 187 distinct classes,
+    and each is validated once per size (``_cached_identity``); an entry
+    the cache cannot vouch for takes the full ``from_json``, so every
+    refusal keeps its message.
     """
     if not isinstance(d, dict):
         raise UsageError("catalog JSON must be an object")
@@ -400,10 +479,15 @@ def catalog_from_json(d: dict) -> Catalog:
     if not isinstance(raw, list):
         raise UsageError("catalog entries must be a list")
     shared = {}  # the one stored copy of each class and each trace step
+    known = {}  # (n, class as nested tuples) -> its validated stored copy
     entries = {}
     for i, item in enumerate(raw):
         try:
-            ident = from_json(item["identity"])
+            ident = _cached_identity(item["identity"], max_n, flavor, known, shared)
+            if ident is None:
+                ident = from_json(item["identity"])
+                ident = Identity(ident.n, ident.flavor, frozenset(
+                    shared.setdefault(c, c) for c in ident.classes), ident.domain)
             trace = []
             for op, arg in item["trace"]:
                 step = (op, tuple(arg) if type(arg) is list else arg)
@@ -418,9 +502,6 @@ def catalog_from_json(d: dict) -> Catalog:
                 f"catalog entry {i} is a {ident.flavor} identity on {ident.n} "
                 f"elements; the catalog holds {flavor} identities up to {max_n}"
             )
-        ident = Identity(
-            ident.n, flavor, frozenset(shared.setdefault(c, c) for c in ident.classes)
-        )
         if ident in entries:
             raise UsageError(f"catalog entry {i} repeats an earlier entry")
         entries[ident] = CatalogEntry(ident, tuple(trace))

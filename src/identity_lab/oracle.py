@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .closure import _identity_of, _relabeled_keys, _slot_key
+from .closure import canonical_forms
 from .core import (
     SEARCH_GUARD,
     Identity,
@@ -297,8 +297,8 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     ``encoding``.  Unordered mode returns the canonical forms of the
     ordered result: an arbitrary injection is an increasing one followed by
     a relabeling, so both describe the same isomorphism classes
-    (``_canonical_closure``).  The result is duplicate-free and sorted by
-    ``encoding``.
+    (``closure.canonical_forms``).  The result is duplicate-free and
+    sorted by ``encoding``.
 
     Hard guards: max_size <= 6, ground <= 10, and, for each size, the
     refinement expansion of the ordered enumeration (the product of Bell
@@ -310,41 +310,7 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     found = [Identity(k, "pairs", frozenset(classes[i] for i in r))
              for k, classes, _, relations in _ordered_relations(c, max_size)
              for r in relations]
-    return found if ordered else _canonical_closure(found)
-
-
-def _canonical_closure(found) -> list:
-    """The canonical forms of ``found``, duplicate-free and sorted by
-    ``encoding``.  Each isomorphism class is walked once, on slot keys:
-    the orbit of one key (``closure._relabeled_keys``) is removed from the
-    rest, and its least member is ``canonical_form`` of each of them.
-    Pair slots are in lex order, so a key's stored classes as slot-index
-    lists in first-slot order (``_stored_slots``) compare as ``encoding``
-    compares the identities.  Only the least key of an orbit becomes an
-    ``Identity``."""
-    by_size = {}
-    for s in found:
-        by_size.setdefault(s.n, set()).add(_slot_key(s))
-    forms, shared = [], {}
-    for n, keys in sorted(by_size.items()):
-        least = []
-        while keys:
-            orbit = set(_relabeled_keys(keys.pop(), n, "pairs"))
-            keys -= orbit
-            least.append(min(orbit, key=_stored_slots))
-        least.sort(key=_stored_slots)
-        forms += [_identity_of(k, n, "pairs", shared) for k in least]
-    return forms
-
-
-def _stored_slots(key: tuple) -> list:
-    """The non-singleton classes of a slot key, each the list of its
-    slots, in first-slot order."""
-    classes = {}
-    for i, first in enumerate(key):
-        if first != i:
-            classes.setdefault(first, [first]).append(i)
-    return sorted(classes.values())
+    return found if ordered else canonical_forms(found)
 
 
 def _id_of_texts(c: Coloring, max_size: int, ordered: bool) -> list:

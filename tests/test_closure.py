@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,7 @@ from identity_lab import (
     to_pairs,
     trivial,
 )
+from identity_lab import closure
 from identity_lab.cli import _dump
 from identity_lab.closure import (
     Catalog,
@@ -35,6 +37,7 @@ from identity_lab.closure import (
     _generation_steps,
     _identity_of,
     _relabel_gathers,
+    canonical_forms,
 )
 from identity_lab.core import (
     Identity,
@@ -443,6 +446,17 @@ def test_relabel_gathers_are_the_slot_form_of_relabel(cat6, full5, n, flavor):
             assert tuple(map(raw.index, raw)) == slot_key(_relabel(s, pi)), (pi, to_json(s))
 
 
+def test_canonical_forms_match_canonical_form(cat6):
+    rng = random.Random(5)
+    idents = [t for t in cat6.members() if t.n <= 5]
+    idents += [_relabel(t, tuple(rng.sample(range(t.n), t.n))) for t in idents[::3]]
+    idents += [random_identity(rng, rng.randint(1, 5), "pairs") for _ in range(40)]
+    expected = sorted({canonical_form(t)[0] for t in idents}, key=encoding)
+    assert canonical_forms(idents) == expected
+    with pytest.raises(UsageError):
+        canonical_forms([Identity(2, "full", frozenset())])
+
+
 def test_relabel_gathers_stop_at_the_generation_bound():
     with pytest.raises(SizeGuardError):
         _relabel_gathers(8, "pairs")
@@ -473,16 +487,54 @@ def test_catalog_loader_keys_and_refusals(cat4):
     for doc in (shuffled, twice):
         back = catalog_from_json(doc)
         assert list(back.entries) == list(cat4.entries) and back.keys == cat4.keys
-    # a boolean subset, and two overlapping classes, are refused with
-    # from_json's messages even after the same classes loaded as valid
+    # subsets equal to valid ones as Python values (booleans, a float, a
+    # tuple), and two overlapping classes, are refused with from_json's
+    # messages even after the same classes loaded as valid
     a, b = [[0, 1], [2, 3]], [[0, 1], [1, 3]]
-    for classes, message in (([[[False, True], [2, 3]]], "not a list of non-negative integers"),
+    refused = "not a list of non-negative integers"
+    for classes, message in (([[[False, True], [2, 3]]], refused),
+                             ([[[0, 1.0], [2, 3]]], refused),
+                             ([[(0, 1), [2, 3]]], refused),
                              ([a, b], r"subset \(0, 1\) appears in two classes")):
         doc = {"max_n": 4, "entries": [
             {"identity": {"n": 4, "flavor": "pairs", "classes": cls}, "trace": []}
             for cls in ([a], [b], classes)]}
         with pytest.raises(UsageError, match=message):
             catalog_from_json(doc)
+
+
+def load_outcome(doc):
+    """A loaded catalog as (entries with traces, keys), or its refusal."""
+    try:
+        cat = catalog_from_json(doc)
+    except UsageError as exc:
+        return str(exc)
+    return [(s, e.trace) for s, e in cat.entries.items()], cat.keys
+
+
+# Classes that validate, and look-alikes that equal them as Python values
+# (booleans, floats, tuples), overlap them, repeat a subset, mix sizes or
+# leave the ground, so that a class cached by one entry is met again in
+# another form by the next.
+loader_classes = st.sampled_from((
+    [[0, 1], [2, 3]], [[3, 2], [1, 0]], [[0, 1], [2, 3], [0, 1]], [[0, 2], [1, 3]],
+    [[0, 1], [0, 2]], [[0], [1]], [[0, 1], [0]], [[0, 1]], [[0, 1], [2, 5]],
+    [[True, 0], [2, 3]], [[0, 1.0], [2, 3]], [(0, 1), [2, 3]], ([0, 1], [2, 3]),
+))
+loader_identities = st.fixed_dictionaries(
+    {"n": st.sampled_from((4, 4, 4, 2, 6, 4.0, True, "4")),
+     "flavor": st.sampled_from(("pairs", "pairs", "full")),
+     "classes": st.lists(loader_classes, max_size=3)},
+    optional={"domain": st.sampled_from((None, [], [[0, 1]]))},
+)
+
+
+@given(identities=st.lists(loader_identities, min_size=1, max_size=4))
+def test_class_cache_loads_as_the_full_parse(identities):
+    doc = {"max_n": 4, "entries": [{"identity": d, "trace": []} for d in identities]}
+    with mock.patch.object(closure, "_cached_identity", lambda *args: None):
+        full = load_outcome(doc)
+    assert load_outcome(doc) == full
 
 
 def test_member_rejects_oversized_query(cat4):
