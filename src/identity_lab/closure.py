@@ -123,7 +123,7 @@ def restrict(s: Identity, keep) -> Identity:
     return Identity(len(kept), s.flavor, frozenset(classes), dom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """A catalog member with its construction trace from the 1-element
     identity; replaying the trace reproduces the identity exactly."""

@@ -428,13 +428,15 @@ def _mask_from_json(sub, n: int) -> int:
 def from_json(d: dict) -> Identity:
     """Parse and validate the interchange dict."""
     try:
-        n = int(d["n"])
+        n = d["n"]
         flavor = d["flavor"]
         classes = [list(cl) for cl in d["classes"]]
         dom = d.get("domain")
         dom = None if dom is None else list(dom)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"identity JSON malformed: {exc!r}") from exc
+    if type(n) is not int:
+        raise UsageError(f"identity n must be an integer, got {n!r}")
     check_ground(n)
     s = Identity(
         n,

@@ -266,18 +266,6 @@ def realizes(c: Coloring, s: Identity, ordered: bool = False):
         h, ordered, tuple(col[h[a]][h[b]] for (a, b), *_ in classes))
 
 
-def _set_partitions(items):
-    """All partitions of a list, each a list of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
          4213597, 27644437, 190899322, 1382958545]
 
@@ -291,14 +279,15 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
 
     An identity is realized when some injection makes each of its classes
     monochromatic; equivalently its relation refines the color partition
-    induced by some injection, so the enumeration closes each induced
-    partition under refinement (``_ordered_relations``).  Ordered mode
-    returns exact patterns over increasing injections, sorted by
-    ``encoding``.  Unordered mode returns the canonical forms of the
-    ordered result: an arbitrary injection is an increasing one followed by
-    a relabeling, so both describe the same isomorphism classes
-    (``closure.canonical_forms``).  The result is duplicate-free and
-    sorted by ``encoding``.
+    induced by some injection: its classes are disjoint and all lie in
+    blocks of one induced partition.  Those relations are closed under
+    taking subsets, so one depth-first walk per size lists each once, in
+    order (``_ordered_relations``).  Ordered mode returns exact patterns
+    over increasing injections, sorted by ``encoding``.  Unordered mode
+    returns the canonical forms of the ordered result: an arbitrary
+    injection is an increasing one followed by a relabeling, so both
+    describe the same isomorphism classes (``closure.canonical_forms``).
+    The result is duplicate-free and sorted by ``encoding``.
 
     Hard guards: max_size <= 6, ground <= 10, and, for each size, the
     refinement expansion of the ordered enumeration (the product of Bell
@@ -333,10 +322,11 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
     ``(k, classes, class_texts, relations)``.
 
     ``classes`` holds the size's distinct pair classes (frozensets of pair
-    masks) in element-tuple order, ``class_texts`` the compact JSON text of
-    each, and ``relations`` the sorted tuples of class numbers, one per
-    identity, so ``encoding`` order.  The refinement rows of each distinct
-    block are built once; a singleton block has the one empty row.
+    masks: every subset of two or more pairs of a distinct induced block)
+    in element-tuple order, ``class_texts`` the compact JSON text of each,
+    and ``relations`` the tuples of class numbers, one per identity, in
+    increasing order, so ``encoding`` order.  The guards count every size
+    before ``_walk_relations`` lists any.
     """
     if max_size < 1:
         raise UsageError("max_size must be >= 1")
@@ -368,20 +358,99 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
                 f"the output cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
             )
         induced.append((k, partitions))
-    sizes = []
-    for k, partitions in induced:
-        rows = {b: [[cl for cl in map(frozenset, sub) if len(cl) >= 2]
-                    for sub in _set_partitions(sorted(b))] if len(b) >= 2 else [[]]
-                for b in set().union(*partitions)}
-        keys = {cl: tuple(sorted(map(elems_of, cl)))
-                for cl in {cl for block in rows.values() for row in block for cl in row}}
-        classes = sorted(keys, key=keys.get)
-        number = {cl: i for i, cl in enumerate(classes)}
-        rows = {b: [tuple(map(number.get, row)) for row in block] for b, block in rows.items()}
-        relations = {tuple(sorted(itertools.chain.from_iterable(combo)))
-                     for part in partitions for combo in itertools.product(*map(rows.get, part))}
-        sizes.append((k, classes, [_dump(keys[cl]) for cl in classes], sorted(relations)))
-    return sizes
+    return [(k, *_walk_relations(partitions)) for k, partitions in induced]
+
+
+def _walk_relations(partitions) -> tuple:
+    """``(classes, class_texts, relations)`` of one size from its distinct
+    induced partitions.
+
+    The classes are the subsets of two or more pairs of each distinct
+    block, numbered in element-tuple order.  Each class carries the
+    classes disjoint from it and ``fit``, the bitmask of partitions with a
+    block that holds it.  A relation is a set of pairwise-disjoint classes
+    fitting one common partition, so relations are closed under subsets:
+    a depth-first walk that extends a relation only by higher-numbered
+    candidates lists each exactly once, in preorder, which is sorted order.
+    The candidates are one bitmask, narrowed by the classes disjoint from
+    the one added and, when the common partitions shrink, by the classes
+    that fit one of them (memoized per partition set).  The stack is
+    explicit (a nested recursive walk would be a reference cycle holding
+    these tables), and each tuple extends its prefix by a shared
+    one-number tuple, so every relation holds the same class-number ints
+    (those above 256 are not cached by Python).
+    """
+    partitions = list(partitions)
+    in_parts, keys = {}, {}  # block -> partitions holding it; class -> key
+    for p, part in enumerate(partitions):
+        for b in part:
+            in_parts[b] = in_parts.get(b, 0) | 1 << p
+    block_classes = {}
+    for b in in_parts:
+        pairs = sorted(b, key=elems_of)
+        block_classes[b] = [frozenset(cl)
+                            for r in range(2, len(pairs) + 1)
+                            for cl in itertools.combinations(pairs, r)]
+        for cl in block_classes[b]:
+            keys.setdefault(cl, tuple(sorted(map(elems_of, cl))))
+    classes = sorted(keys, key=keys.get)
+    number = {cl: i for i, cl in enumerate(classes)}
+    fit, held = [0] * len(classes), {}  # block -> classes it holds
+    for b, ps in in_parts.items():
+        held[b] = 0
+        for cl in block_classes[b]:
+            i = number[cl]
+            fit[i] |= ps
+            held[b] |= 1 << i
+    fits = [0] * len(partitions)  # partition -> classes fitting it
+    for p, part in enumerate(partitions):
+        for b in part:
+            fits[p] |= held[b]
+    every = (1 << len(classes)) - 1
+    touching = {}  # pair -> classes holding it
+    for i, cl in enumerate(classes):
+        for m in cl:
+            touching[m] = touching.get(m, 0) | 1 << i
+    disjoint = []
+    for cl in classes:
+        hit = 0
+        for m in cl:
+            hit |= touching[m]
+        disjoint.append(every & ~hit)
+    fitting = {}  # partition set -> classes fitting one of its partitions
+    singles = [(i,) for i in range(len(classes))]  # shared class-number ints
+    relations = [()]
+    # one frame per relation still extending: (relation, common, candidates)
+    stack = [((), (1 << len(partitions)) - 1, every)] if every else []
+    while stack:
+        rel, common, cand = stack.pop()
+        low = cand & -cand
+        j = low.bit_length() - 1
+        cand ^= low
+        if cand:
+            stack.append((rel, common, cand))
+            cand &= disjoint[j]
+        rel += singles[j]
+        relations.append(rel)
+        if cand:
+            narrowed = common & fit[j]
+            if narrowed != common:
+                if narrowed not in fitting:
+                    fitting[narrowed] = _union_at(fits, narrowed)
+                cand &= fitting[narrowed]
+            if cand:
+                stack.append((rel, narrowed, cand))
+    return classes, [_dump(keys[cl]) for cl in classes], relations
+
+
+def _union_at(masks: list, bits: int) -> int:
+    """The OR of ``masks[i]`` over the set bits i of ``bits``."""
+    union = 0
+    while bits:
+        low = bits & -bits
+        union |= masks[low.bit_length() - 1]
+        bits ^= low
+    return union
 
 
 def arrow_check(N: int, s: Identity, num_colors: int) -> bool:

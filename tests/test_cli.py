@@ -147,6 +147,15 @@ def test_usage_errors_exit_2(tmp_path):
         assert proc.returncode == 2, pair
         assert "Traceback" not in proc.stderr
 
+    # the ground size must be a JSON integer: int() would read these as 3, 3, 1
+    for i, n in enumerate((3.9, "3", True)):
+        f = tmp_path / f"bad_n{i}.json"
+        f.write_text(json.dumps({"n": n, "flavor": "pairs", "classes": []}))
+        proc = run("check", "--in", str(f))
+        assert proc.returncode == 2, n
+        assert "n must be an integer" in proc.stderr and "Traceback" not in proc.stderr
+        assert main_in_process("check", "--in", str(f))[0] == 2, n
+
     ident = tmp_path / "trivial2.json"
     ident.write_text(json.dumps({"n": 2, "flavor": "pairs", "classes": []}))
     pairs3 = {"0,1": 0, "0,2": 0, "1,2": 1}

@@ -448,6 +448,13 @@ def test_from_json_rejects_garbage():
         from_json({"n": 2, "flavor": "pairs", "classes": [[[0, 1], [1, 2]]]})
 
 
+@pytest.mark.parametrize("n", [3.9, "3", True])
+def test_from_json_refuses_n_that_is_not_an_int(n):
+    # int() would read these as 3, 3 and 1
+    with pytest.raises(UsageError, match=r"n must be an integer"):
+        from_json({"n": n, "flavor": "pairs", "classes": []})
+
+
 @given(idx=st.integers(min_value=0, max_value=len(_SMALL) - 1))
 def test_json_round_trip_catalog_members(idx):
     s = _SMALL[idx]

@@ -148,20 +148,26 @@ def random_pattern(rng, k, labels):
     return identity_from_subsets(k, "pairs", list(by.values()))
 
 
+def increasing_partitions(c, k):
+    """The distinct color partitions of the pair masks of 0..k-1 that the
+    increasing injections into the coloring induce."""
+    slots = list(itertools.combinations(range(k), 2))
+    partitions = set()
+    for h in itertools.combinations(range(c.n_ground), k):
+        by = {}
+        for a, b in slots:
+            by.setdefault(c.pair(h[a], h[b]), []).append(mask_of((a, b)))
+        partitions.add(frozenset(frozenset(v) for v in by.values()))
+    return partitions
+
+
 def reference_ordered_id_of(c, max_size):
     """Slow oracle for ordered ``id_of``: the plain expansion loop, one
     ``Identity`` per refinement of each induced partition, duplicates
     left to the set."""
     found = set()
     for k in range(1, min(max_size, c.n_ground) + 1):
-        slots = list(itertools.combinations(range(k), 2))
-        partitions = set()
-        for h in itertools.combinations(range(c.n_ground), k):
-            by = {}
-            for a, b in slots:
-                by.setdefault(c.pair(h[a], h[b]), []).append(mask_of((a, b)))
-            partitions.add(frozenset(frozenset(v) for v in by.values()))
-        for part in partitions:
+        for part in increasing_partitions(c, k):
             blocks = [sorted(b) for b in part]
             per_block = [list(_set_partitions(b)) for b in blocks]
             for combo in itertools.product(*per_block):
@@ -173,6 +179,29 @@ def reference_ordered_id_of(c, max_size):
                 )
                 found.add(Identity(k, "pairs", classes))
     return sorted(found, key=encoding)
+
+
+def reference_ordered_relations(c, max_size):
+    """Slow oracle for ``oracle._ordered_relations``: per size, the product
+    of every induced partition's refinement rows (each distinct block's set
+    partitions, pieces of two or more pairs), each combination sorted into
+    a tuple of class numbers, deduplicated by a set and sorted."""
+    sizes = []
+    for k in range(1, min(max_size, c.n_ground) + 1):
+        partitions = increasing_partitions(c, k)
+        rows = {b: [[cl for cl in map(frozenset, sub) if len(cl) >= 2]
+                    for sub in _set_partitions(sorted(b))]
+                for b in set().union(*partitions)}
+        keys = {cl: tuple(sorted(map(elems_of, cl)))
+                for block in rows.values() for row in block for cl in row}
+        classes = sorted(keys, key=keys.get)
+        number = {cl: i for i, cl in enumerate(classes)}
+        relations = {tuple(sorted(number[cl] for row in combo for cl in row))
+                     for part in partitions
+                     for combo in itertools.product(*map(rows.get, part))}
+        sizes.append((k, classes, [_dump(keys[cl]) for cl in classes],
+                      sorted(relations)))
+    return sizes
 
 
 def brute_unordered_id_of(c, max_size):
@@ -329,6 +358,42 @@ def test_color_renaming_never_changes_realized_patterns(seed):
 def test_ordered_id_of_matches_the_expansion_loop(n, colors, seed, max_size):
     c = builtin_coloring("random", n=n, colors=colors, seed=seed)
     assert id_of(c, max_size, ordered=True) == reference_ordered_id_of(c, max_size)
+    assert_walk_is_the_expansion(c, max_size)
+
+
+def assert_walk_is_the_expansion(c, max_size):
+    sizes = oracle._ordered_relations(c, max_size)
+    assert sizes == reference_ordered_relations(c, max_size)
+    for _, _, _, relations in sizes:
+        assert all(r < t for r, t in zip(relations, relations[1:]))
+
+
+@pytest.mark.parametrize("kind, params, max_size", [
+    # one 10-pair block: Bell(10) = 115,975 refinements of 1,013 classes
+    ("constant", {"n": 5}, 5),
+    ("min_pair", {"n": 10}, 6),
+    ("random", {"n": 10, "colors": 12, "seed": 1}, 6),
+    ("random", {"n": 10, "colors": 20, "seed": 1}, 6),
+])
+def test_relation_walk_matches_the_expansion_on_wide_colorings(kind, params, max_size):
+    assert_walk_is_the_expansion(builtin_coloring(kind, **params), max_size)
+
+
+@st.composite
+def small_colorings(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    colors = draw(st.integers(min_value=1, max_value=4))
+    pairs = list(itertools.combinations(range(n), 2))
+    table = dict(zip(pairs, draw(st.lists(
+        st.integers(min_value=0, max_value=colors - 1),
+        min_size=len(pairs), max_size=len(pairs)))))
+    return Coloring(n, 2, table, colors)
+
+
+# sizes up to 4 keep every expansion at Bell(6) = 203 refinements or fewer
+@given(c=small_colorings(), max_size=st.integers(min_value=1, max_value=4))
+def test_relation_walk_matches_the_expansion_on_small_colorings(c, max_size):
+    assert_walk_is_the_expansion(c, max_size)
 
 
 @pytest.mark.parametrize("n, colors, seed", [
