@@ -158,7 +158,7 @@ def validate(s: Identity):
                 return f"domain subset {elems_of(b)} exceeds ground set"
     elif s.domain is not None:
         return f"{s.flavor} flavor must not carry an explicit domain"
-    dom = None if s.flavor == "full" else set(_domain_masks(s))
+    dom = s.domain  # None unless partial: a domain elsewhere was refused above
     seen = set()
     for c in s.classes:
         cl = sorted(c, key=elems_of)

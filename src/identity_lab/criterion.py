@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import SEARCH_GUARD, Identity, elems_of, mask_of, validate
+from .core import SEARCH_GUARD, Identity, _check_valid, elems_of, mask_of
 from .errors import SizeGuardError, UsageError
 
 EXPLAIN_BOUND = 7  # per-order forensics enumerate all orders: factorial
@@ -242,9 +242,7 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
     ``strengthened`` flag is recorded in the verdict and changes nothing
     else: its extra condition is implied by the acyclicity test.
     """
-    bad = validate(s)
-    if bad is not None:
-        raise UsageError(bad)
+    _check_valid(s)
     if s.flavor != "pairs":
         raise UsageError(f"criterion needs pairs flavor, got {s.flavor!r}")
     active = s.active_elements()
@@ -255,7 +253,7 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
     order_active = _order_search(stored, active)
     if order_active is None:
         return CriterionVerdict(False, strengthened)
-    inactive = [x for x in range(s.n) if x not in set(active)]
+    inactive = sorted(set(range(s.n)).difference(active))
     order = tuple(order_active) + tuple(inactive)
     posn = {x: i for i, x in enumerate(order)}
     endpoints = [
@@ -348,9 +346,7 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
     elements a rejection is explained by its constraint cycle alone, with
     no per-order list; an acyclic one is a size-guard error.
     """
-    bad = validate(s)
-    if bad is not None:
-        raise UsageError(bad)
+    _check_valid(s)
     stored, owner = _class_nodes(s)
     lines = []
     if verdict.accepted:

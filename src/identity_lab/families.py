@@ -193,9 +193,13 @@ def simplify_k(s: Identity, k: int) -> Identity:
 
     Two equal-size subsets b, c become equivalent iff for every subset b'
     of b with |b'| <= k, b' is e-equivalent to its order-isomorphic copy
-    inside c.  The computed relation is audited pairwise inside every
-    resulting class and a SimplifyError is raised if symmetry or
-    transitivity fails; the audit never repairs anything silently.
+    inside c.  Both sides list their sub-subsets of at most k positions
+    in the same (combinations) order, so this says that their
+    k-signatures, the class tokens of those sub-subsets, are equal: an
+    equivalence, whose classes are the groups of equal (size, signature).
+    Each group is audited pairwise, both ways, by the direct test, and a
+    SimplifyError is raised if any pair fails; the audit never repairs
+    anything silently.
     """
     if s.flavor != "full":
         raise UsageError(f"simplify_k needs full flavor, got {s.flavor!r}")
@@ -215,36 +219,27 @@ def simplify_k(s: Identity, k: int) -> Identity:
                 return True
             sub = (sub - 1) & b
 
-    by_size = {}
-    for mask in range(1 << s.n):
-        by_size.setdefault(mask.bit_count(), []).append(mask)
+    groups = {}
+    for b in range(1 << s.n):
+        e = elems_of(b)
+        signature = tuple(
+            ids[mask_of(sub)]
+            for j in range(min(k, len(e)) + 1)
+            for sub in itertools.combinations(e, j)
+        )
+        groups.setdefault((len(e), signature), []).append(b)
 
     classes = []
-    for size, masks in by_size.items():
-        parent = {m: m for m in masks}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b, c in itertools.combinations(masks, 2):
-            if related(b, c):
-                parent[find(b)] = find(c)
-        groups = {}
-        for m in masks:
-            groups.setdefault(find(m), []).append(m)
-        for g in groups.values():
-            if len(g) >= 2:
-                for b, c in itertools.combinations(g, 2):
-                    if not (related(b, c) and related(c, b)):
-                        raise SimplifyError(
-                            "coarsened relation is not an equivalence: "
-                            f"subsets {elems_of(b)} and {elems_of(c)} were "
-                            "merged transitively but are not directly related"
-                        )
-                classes.append(frozenset(g))
+    for g in groups.values():
+        if len(g) >= 2:
+            for b, c in itertools.combinations(g, 2):
+                if not (related(b, c) and related(c, b)):
+                    raise SimplifyError(
+                        "coarsened relation is not an equivalence: "
+                        f"subsets {elems_of(b)} and {elems_of(c)} share a "
+                        f"{k}-signature but are not directly related"
+                    )
+            classes.append(frozenset(g))
     return Identity(s.n, "full", frozenset(classes))
 
 

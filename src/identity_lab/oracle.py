@@ -84,15 +84,26 @@ def _validate_coloring(c: Coloring):
             )
 
 
-def _int_param(params: dict, name: str) -> int:
-    if name not in params:
-        raise UsageError(f"builtin coloring needs parameter {name!r}")
-    try:
-        return int(params[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(
-            f"parameter {name!r} is not an integer: {params[name]!r}"
-        ) from exc
+def _int_param(d: dict, name) -> int:
+    """d[name], which must be a JSON integer: int() would read 3.9, "3"
+    and true as some other coloring."""
+    if name not in d:
+        raise UsageError(f"coloring needs {name!r}")
+    if type(d[name]) is not int:
+        raise UsageError(f"coloring value {name!r} is not an integer: {d[name]!r}")
+    return d[name]
+
+
+def _table_key(text) -> tuple:
+    """Elements of a table key, which must read "i" or "i,j" in canonical
+    decimals as coloring_to_json writes it, so each key has one spelling."""
+    parts = text.split(",") if isinstance(text, str) else []
+    try:  # int() refuses some isdigit() texts, and any past its digit limit
+        if 0 < len(parts) < 3 and all(p.isdigit() and str(int(p)) == p for p in parts):
+            return tuple(map(int, parts))
+    except ValueError:
+        pass
+    raise UsageError(f'table key {text!r} is not "i" or "i,j" in canonical decimals')
 
 
 def builtin_coloring(kind: str, /, **params) -> Coloring:
@@ -535,15 +546,10 @@ def coloring_from_json(d: dict) -> Coloring:
         kind = d["builtin"]
         params = {k: v for k, v in d.items() if k != "builtin"}
         return builtin_coloring(kind, **params)
-    try:
-        n = int(d["n"])
-        arity = int(d["arity"])
-        table = {
-            tuple(int(x) for x in k.split(",")): int(v)
-            for k, v in d["table"].items()
-        }
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise UsageError(f"coloring JSON malformed: {exc}") from exc
+    n, arity, table = _int_param(d, "n"), _int_param(d, "arity"), d.get("table")
+    if not isinstance(table, dict):
+        raise UsageError(f"coloring table must be an object, got {type(table).__name__}")
+    table = {_table_key(k): _int_param(table, k) for k in table}
     check_ground(n)
     num = max(table.values(), default=-1) + 1
     c = Coloring(n, arity, table, max(num, 1))

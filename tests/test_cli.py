@@ -166,6 +166,12 @@ def test_usage_errors_exit_2(tmp_path):
         {"n": 3, "arity": 2, "table": {**pairs3, "2,1": 0}},  # not increasing
         {"n": 3, "arity": 2, "table": {**pairs3, "0,1,2": 0}},
         {"n": 3, "arity": 2, "table": 4},  # table is not an object
+        # numbers must be JSON integers and keys canonical: int() would
+        # read each of these as some coloring
+        {"n": 3.9, "arity": 2, "table": {"0,1": 0, "0,2": True, "1,2": 1.7}},
+        {"builtin": "random", "n": "9", "colors": 3.5, "seed": "1"},
+        {"n": 3, "arity": 2, "table": {**pairs3, " 0, 1": 1}},
+        {"n": 3, "arity": 2, "table": {**pairs3, "0_1,2": 0}},
     )):
         col = tmp_path / f"bad_col{i}.json"
         col.write_text(json.dumps(desc))

@@ -1,10 +1,15 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from identity_lab import (
+    Identity,
     LabeledIdentity,
     SimplifyError,
     SizeGuardError,
     UsageError,
+    from_json,
     identity_from_subsets,
     is_meet_respecting,
     max_meet_identity,
@@ -20,7 +25,13 @@ from identity_lab import (
     trivial_full,
     validate,
 )
-from identity_lab.core import canonical_form, mask_of
+from identity_lab.core import (
+    _class_id_map,
+    canonical_form,
+    elems_of,
+    mask_of,
+    permute_mask,
+)
 
 
 def test_trivial_has_no_stored_classes():
@@ -159,6 +170,101 @@ def test_labeled_identity_rejects_bad_labels():
 def test_simplify_needs_full_flavor():
     with pytest.raises(UsageError):
         simplify_k(trivial(3), 2)
+
+
+def reference_simplify_k(s: Identity, k: int) -> Identity:
+    """simplify_k as first written: relate every pair of equal-size subsets
+    directly, merge related pairs with a union-find, then audit each class."""
+    if s.flavor != "full":
+        raise UsageError(f"simplify_k needs full flavor, got {s.flavor!r}")
+    if k < 1:
+        raise UsageError(f"simplify_k needs k >= 1, got {k}")
+    ids = _class_id_map(s)
+
+    def related(b: int, c: int) -> bool:
+        # all <=k subsets of b must be e-related to their order-isomorphic
+        # copies in c
+        copy = dict(zip(elems_of(b), elems_of(c)))
+        sub = b
+        while True:
+            if sub.bit_count() <= k and ids[sub] != ids[permute_mask(sub, copy)]:
+                return False
+            if sub == 0:
+                return True
+            sub = (sub - 1) & b
+
+    by_size = {}
+    for mask in range(1 << s.n):
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+
+    classes = []
+    for size, masks in by_size.items():
+        parent = {m: m for m in masks}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for b, c in itertools.combinations(masks, 2):
+            if related(b, c):
+                parent[find(b)] = find(c)
+        groups = {}
+        for m in masks:
+            groups.setdefault(find(m), []).append(m)
+        for g in groups.values():
+            if len(g) >= 2:
+                for b, c in itertools.combinations(g, 2):
+                    if not (related(b, c) and related(c, b)):
+                        raise SimplifyError(
+                            "coarsened relation is not an equivalence: "
+                            f"subsets {elems_of(b)} and {elems_of(c)} were "
+                            "merged transitively but are not directly related"
+                        )
+                classes.append(frozenset(g))
+    return Identity(s.n, "full", frozenset(classes))
+
+
+@st.composite
+def full_identities_and_k(draw):
+    # every size layer of the 2^n subsets cut into random blocks
+    n = draw(st.integers(1, 6))
+    classes = []
+    for size in range(n + 1):
+        layer = [m for m in range(1 << n) if m.bit_count() == size]
+        blocks = draw(st.integers(1, len(layer)))
+        labels = draw(st.lists(st.integers(0, blocks - 1),
+                               min_size=len(layer), max_size=len(layer)))
+        by_label = {}
+        for m, label in zip(layer, labels):
+            by_label.setdefault(label, set()).add(m)
+        classes += [frozenset(g) for g in by_label.values() if len(g) >= 2]
+    return Identity(n, "full", frozenset(classes)), draw(st.integers(1, n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_simplify_matches_the_reference_on_catalog(full5, k):
+    for s in full5.members():
+        assert simplify_k(s, k) == reference_simplify_k(s, k)
+
+
+@given(case=full_identities_and_k())
+def test_simplify_matches_the_reference_on_random_identities(case):
+    s, k = case
+    assert simplify_k(s, k) == reference_simplify_k(s, k)
+
+
+def test_simplify_square_example():
+    # the singletons are one class and the pairs {0,1}~{2,3}, {0,2}~{1,3}:
+    # k = 1 sees only singletons, so each size layer becomes one class;
+    # k >= 2 sees the pairs and keeps the input as it is
+    s = from_json({"n": 4, "flavor": "full", "classes": [
+        [[0], [1], [2], [3]], [[0, 1], [2, 3]], [[0, 2], [1, 3]]]})
+    layers = [[list(sub) for sub in itertools.combinations(range(4), j)] for j in (1, 2, 3)]
+    coarse = from_json({"n": 4, "flavor": "full", "classes": layers})
+    for k, expected in ((1, coarse), (2, s), (3, s)):
+        assert simplify_k(s, k) == reference_simplify_k(s, k) == expected
 
 
 def test_simplify_keeps_trivial_trivial():

@@ -598,6 +598,38 @@ def test_coloring_json_round_trips():
         assert again.table == c.table
 
 
+def test_coloring_json_reads_integers_and_canonical_keys_only():
+    pairs3 = {"0,1": 0, "0,2": 0, "1,2": 1}
+    c = coloring_from_json({"n": 3, "arity": 2, "table": {**pairs3, "0": 1}})
+    assert c.table == {(0, 1): 0, (0, 2): 0, (1, 2): 1, (0,): 1}
+    assert coloring_from_json(coloring_to_json(c)).table == c.table
+    wide = builtin_coloring("min_pair", n=12)  # two-digit keys
+    assert coloring_from_json(coloring_to_json(wide)).table == wide.table
+    # int() would read every one of these as some coloring
+    refused = [
+        {"n": 3.9, "arity": 2, "table": {"0,1": 0, "0,2": True, "1,2": 1.7}},
+        {"n": "3", "arity": 2, "table": pairs3},
+        {"n": True, "arity": 1, "table": {}},
+        {"n": 3, "arity": 2.0, "table": pairs3},
+        {"n": 3, "arity": True, "table": pairs3},
+        {"builtin": "random", "n": "9", "colors": 3.5, "seed": "1"},
+        {"builtin": "random", "n": 9, "colors": 3, "seed": "1"},
+        {"builtin": "random", "n": 9, "colors": True, "seed": 1},
+        {"builtin": "min_pair", "n": 4.0},
+        {"builtin": "constant", "n": True},
+        {"builtin": "sierpinski_meet", "len": "3"},
+    ]
+    refused += [{"n": 3, "arity": 2, "table": {**pairs3, "1,2": v}}
+                for v in (True, 1.0, 1.7, "1", None)]
+    refused += [{"n": 3, "arity": 2, "table": {**pairs3, key: 1}}
+                for key in (" 0, 1", "0, 1", "0,1_2", "0_1,2", "01,2", "+0,1",
+                            "-0,1", "\uff10,1", "0,1,", ",1", "", "0,1,2", 1,
+                            "9" * 5000)]
+    for desc in refused:
+        with pytest.raises(UsageError):
+            coloring_from_json(desc)
+
+
 def test_meet_pullback_through_any_realization():
     c = builtin_coloring("sierpinski_meet", len=2)
     for s in id_of(c, 3, ordered=False):
