@@ -49,7 +49,10 @@ def _read_json(path: str):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
-    return json.loads(text), data
+    try:
+        return json.loads(text), data
+    except ValueError as exc:  # JSONDecodeError, and an integer too long to parse
+        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _report(args, digest_parts, output_text) -> str:
@@ -320,7 +323,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -22,12 +22,13 @@ N - n ones, so a size-N parent draws its fates from {0, 2} alone.
 
 The BFS runs neither operation.  A pairs (full) identity is a set
 partition of its slots, the C(n,2) pairs (2^n subsets) in ``_domain_masks``
-order, keyed by first occurrence: slot i carries the index of the first
-slot in its class, a key that is canonical per partition.  Every step
-sends each child slot to one parent slot or to a fresh singleton, so it
-is a fixed slot map, built once per parent size; a child's key is the
-parent's key gathered through the map and renormalized.  Only a new key
-becomes an ``Identity``.
+order, keyed by first occurrence: byte i of the ``bytes`` key is the index
+of the first slot in its class, a key that is canonical per partition (a
+restricted growth string, Knuth, TAOCP 7.2.1.5).  Every step sends each
+child slot to one parent slot or to a fresh singleton, so it is a fixed
+slot map, built once per parent size; a child's key is the parent's key
+gathered through the map and put back in first-occurrence form by
+``_renormalized``.  Only a new key becomes an ``Identity``.
 
 A relabeling is a slot map too: pi sends slot j's mask back to one slot of
 the original, so the orbit of a key is its gathers through one table per
@@ -54,9 +55,13 @@ from .core import (
 )
 from .errors import SizeGuardError, UsageError
 
-# catalog(7) has 204,794 entries and took 179 s and 229 MB peak RSS to
-# build on a 2-core host; extrapolated, size 8 would run for hours and exhaust memory
+# catalog(7) has 204,794 entries and took 91 s and 194 MB peak RSS to
+# build on a 2-core host; extrapolated, size 8 would run for hours and exhaust memory.
+# Up to this bound every slot label fits a byte: a key has at most 128
+# slots (full flavor, n = 7) and the fresh labels of a step stay below 256.
 GENERATION_BOUND = 7
+
+_REVERSED = tuple(bytes(range(w - 1, -1, -1)) for w in range(256))
 
 
 def duplicate(s: Identity, m: int) -> Identity:
@@ -138,11 +143,11 @@ class Catalog:
     operations within the size bound.
 
     Deduplication is by exact ordered encoding.  ``keys`` holds the
-    first-occurrence slot key of every entry (a key's length fixes its
-    size), always derived from ``entries``: it is the set the BFS of
-    ``generate_catalog`` calls ``seen``.  Unordered queries gather the
-    query's key through every relabeling against ``keys``; no canonical
-    index is kept.
+    first-occurrence ``bytes`` slot key of every entry (a key's length
+    fixes its size), always derived from ``entries``: it is the set the
+    BFS of ``generate_catalog`` calls ``seen``.  Unordered queries gather
+    the query's key through every relabeling against ``keys``; no
+    canonical index is kept.
     """
 
     max_n: int
@@ -174,19 +179,27 @@ def _slot_index(n: int, flavor: str) -> dict:
     return {b: i for i, b in enumerate(_slots(n, flavor))}
 
 
-def _slot_key(s: Identity) -> tuple:
-    """First-occurrence slot key of a pairs or full identity: slot i
-    carries the index of the first slot in its class."""
+def _slot_key(s: Identity) -> bytes:
+    """First-occurrence slot key of a pairs or full identity: byte i is
+    the index of the first slot in its class."""
     index = _slot_index(s.n, s.flavor)
     key = list(range(len(index)))
     for c in s.classes:
         slots = sorted(map(index.__getitem__, c))
         for i in slots:
             key[i] = slots[0]
-    return tuple(key)
+    return bytes(key)
 
 
-def _stored_slots(key: tuple) -> list:
+def _renormalized(raw: bytes) -> bytes:
+    """The first-occurrence form of the labels ``raw``: byte i becomes the
+    position of the first byte equal to raw[i]."""
+    # maketrans keeps the last pair for a repeated label, so over the
+    # reversed labels each label maps to its first position
+    return raw.translate(bytes.maketrans(raw[::-1], _REVERSED[len(raw)]))
+
+
+def _stored_slots(key: bytes) -> list:
     """The non-singleton classes of a slot key, each the list of its
     slots, in first-slot order.  Pair slots are in lex ``(i, j)`` order,
     so for pairs keys this compares as ``encoding`` compares the
@@ -210,7 +223,7 @@ def _gather(idx):
 def _relabel_gathers(n: int, flavor: str) -> tuple:
     """One slot gather per permutation pi of 0..n-1, in
     itertools.permutations order: a key gathered through pi's entry and
-    renormalized with ``raw.index`` is the key of ``core._relabel(s, pi)``,
+    put through ``_renormalized`` is the key of ``core._relabel(s, pi)``,
     since slot j of the relabeling reads the slot of pi^-1 of its mask.
     Built once per size, for n <= GENERATION_BOUND only.
     """
@@ -228,12 +241,11 @@ def _relabel_gathers(n: int, flavor: str) -> tuple:
     return tuple(gathers)
 
 
-def _relabeled_keys(key: tuple, n: int, flavor: str):
+def _relabeled_keys(key: bytes, n: int, flavor: str):
     """Walk the orbit of a size-n key: yield the key of each relabeling,
     one per permutation in ``_relabel_gathers`` order."""
     for gather in _relabel_gathers(n, flavor):
-        raw = gather(key)
-        yield tuple(map(raw.index, raw))
+        yield _renormalized(bytes(gather(key)))
 
 
 def _generation_steps(n: int, max_n: int, flavor: str):
@@ -243,7 +255,10 @@ def _generation_steps(n: int, max_n: int, flavor: str):
     is the split at m = n, where duplication is the no-op.  Child slot c
     lifts through ``kept`` to a mask M on the doubled ground, whose parent
     slot is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a
-    fresh singleton.  ``gather(key + fresh)`` is the child's raw labels.
+    fresh singleton.  ``gather(key + fresh)`` is the child's raw labels,
+    and ``fresh`` is ``bytes``.  A step whose slot map is the identity
+    (its child is the parent) or repeats an earlier step's ``(size, map)``
+    (its child is already seen) finds nothing and is left out.
     """
     slots, index = _slots(n, flavor), _slot_index(n, flavor)
     splits = [(n, tuple(y for y in range(n) if y != x)) for x in range(n if n > 1 else 0)]
@@ -255,6 +270,7 @@ def _generation_steps(n: int, max_n: int, flavor: str):
                     [x for x in range(n) if x < m or fate[x - m] != 2]
                     + [n + i for i, f in enumerate(fate) if f])))
     steps, width = [], len(slots)
+    maps = {(n, tuple(range(len(slots))))}
     for m, kept in splits:
         idx, fresh = [], len(slots)
         for c in _slots(len(kept), flavor):
@@ -266,13 +282,17 @@ def _generation_steps(n: int, max_n: int, flavor: str):
             else:
                 idx.append(fresh)
                 fresh += 1
+        step_map = (len(kept), tuple(idx))
+        if step_map in maps:
+            continue
+        maps.add(step_map)
         width = max(width, fresh)
         trace = (("res", kept),) if m == n else (("dup", m), ("res", kept))
         steps.append((trace, len(kept), _gather(idx)))
-    return tuple(range(len(slots), width)), steps
+    return bytes(range(len(slots), width)), steps
 
 
-def _identity_of(key: tuple, n: int, flavor: str, shared: dict) -> Identity:
+def _identity_of(key: bytes, n: int, flavor: str, shared: dict) -> Identity:
     """Size-n identity with slot labels ``key``; classes interned in ``shared``."""
     groups = {}
     for b, label in zip(_slots(n, flavor), key):
@@ -318,10 +338,10 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     order, takes its drops, then for m = 0..n-1 its fitting fate tuples in
     lexicographic order (the order of a walk over all 3^(n-m) of them),
     and the first step to reach an identity gives its trace: minimal-depth
-    and replayable through the two public operations.  Steps run on slot
-    keys: the parent's first-occurrence key is gathered through the step's
-    slot map, built once per size, and renormalized with ``raw.index``;
-    only a key not seen before becomes an ``Identity``.
+    and replayable through the two public operations.  Steps run on
+    ``bytes`` slot keys: the parent's first-occurrence key is gathered
+    through the step's slot map, built once per size, and put through
+    ``_renormalized``; only a key not seen before becomes an ``Identity``.
     """
     if max_n < 1:
         raise UsageError(f"catalog bound must be >= 1, got {max_n}")
@@ -334,7 +354,7 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     table = {n: _generation_steps(n, max_n, flavor) for n in range(1, max_n + 1)}
     root = Identity(1, flavor, frozenset())
     entries = {root: CatalogEntry(root, ())}
-    key = tuple(range(len(_slots(1, flavor))))  # every slot in its own class
+    key = bytes(range(len(_slots(1, flavor))))  # every slot in its own class
     frontier, seen, shared = [(root, key)], {key}, {}
     while frontier:
         discovered = []
@@ -342,8 +362,7 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
             fresh, steps = table[s.n]
             padded, base = key + fresh, entries[s].trace
             for trace, n, gather in steps:
-                raw = gather(padded)
-                child = tuple(map(raw.index, raw))
+                child = _renormalized(bytes(gather(padded)))
                 if child not in seen:
                     seen.add(child)
                     t = _identity_of(child, n, flavor, shared)
@@ -374,7 +393,7 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
 
     Unordered queries walk the orbit of s on slot keys
     (``_relabeled_keys``): s's key is gathered through each permutation
-    of its size, renormalized with ``raw.index`` as the BFS does, and
+    of its size, put through ``_renormalized`` as the BFS does, and
     looked up in the catalog's ``keys``; the walk stops at the first hit
     and builds no ``Identity``.  An absent pattern costs n! gathers and
     lookups, and n <= max_n <= GENERATION_BOUND.

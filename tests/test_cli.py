@@ -137,6 +137,15 @@ def test_usage_errors_exit_2(tmp_path):
         assert proc.returncode == 2, argv
         assert "UTF-8" in proc.stderr and "Traceback" not in proc.stderr
 
+    # an integer literal past Python's int-string limit is a usage error,
+    # not a ValueError traceback from json.loads
+    huge = tmp_path / "huge_n.json"
+    huge.write_text('{"n": ' + "9" * 5000 + ', "flavor": "pairs", "classes": []}')
+    proc = run("check", "--in", str(huge))
+    assert proc.returncode == 2
+    assert "huge_n.json" in proc.stderr and "Traceback" not in proc.stderr
+    assert main_in_process("check", "--in", str(huge))[0] == 2
+
     # identity elements must be non-negative integers (booleans excluded)
     for i, pair in enumerate(([0, -1], [0, "a"], [0, 1.5], [0, True])):
         f = tmp_path / f"bad_elem{i}.json"

@@ -32,11 +32,13 @@ from identity_lab import (
 from identity_lab import closure
 from identity_lab.cli import _dump
 from identity_lab.closure import (
+    GENERATION_BOUND,
     Catalog,
     CatalogEntry,
     _generation_steps,
     _identity_of,
     _relabel_gathers,
+    _renormalized,
     canonical_forms,
 )
 from identity_lab.core import (
@@ -139,10 +141,10 @@ def restrict_catalog(max_n, flavor):
 
 
 def slot_key(s):
-    """First-occurrence slot key: slot i carries the index of the first
-    slot in its class, slots in ``_domain_masks`` order."""
+    """First-occurrence slot key: byte i is the index of the first slot in
+    its class, slots in ``_domain_masks`` order."""
     masks = _domain_masks(s)
-    return tuple(min(map(masks.index, s.class_of(b) or (b,))) for b in masks)
+    return bytes(min(map(masks.index, s.class_of(b) or (b,))) for b in masks)
 
 
 class BucketIndex:
@@ -292,9 +294,42 @@ def test_generation_steps_equal_duplicate_then_restrict(cat4, flavor, max_n):
             for op, arg in trace:
                 want = duplicate(want, arg) if op == "dup" else restrict(want, arg)
             raw = gather(slot_key(s) + fresh)
-            key = tuple(map(raw.index, raw))
+            key = bytes(map(raw.index, raw))
             assert size == want.n and key == slot_key(want), (s, trace)
             assert _identity_of(key, size, flavor, {}) == want, (s, trace)
+
+
+@given(st.lists(st.integers(0, 255), max_size=255))
+def test_renormalized_is_first_occurrence_form(labels):
+    t = tuple(labels)
+    assert _renormalized(bytes(t)) == bytes(map(t.index, t))
+
+
+@pytest.mark.parametrize("flavor", ["pairs", "full"])
+def test_generation_step_labels_fit_a_byte(flavor):
+    # the bytes keys rely on it: parent slots and fresh labels stay below 256
+    for max_n in range(1, GENERATION_BOUND + 1):
+        for n in range(1, max_n + 1):
+            fresh, _ = _generation_steps(n, max_n, flavor)
+            slots = _domain_masks(Identity(n, flavor, frozenset()))
+            assert type(fresh) is bytes and len(slots) + len(fresh) <= 256, (n, max_n)
+
+
+@pytest.mark.parametrize("flavor", ["pairs", "full"])
+def test_generation_steps_skip_maps_that_find_nothing(flavor):
+    # no step is the identity map (its child is the parent) or repeats an
+    # earlier step's (size, map) (its child is already seen)
+    counts = []
+    for n in range(1, 7):
+        fresh, steps = _generation_steps(n, 6, flavor)
+        width = len(_domain_masks(Identity(n, flavor, frozenset())))
+        labels = tuple(range(width + len(fresh)))
+        maps = [(size, gather(labels)) for _, size, gather in steps]
+        assert (n, labels[:width]) not in maps
+        assert len(set(maps)) == len(maps)
+        counts.append(len(steps))
+    if flavor == "pairs":
+        assert counts == [1, 6, 32, 100, 178, 120]
 
 
 def test_catalog6_serialization_pinned(cat6):
@@ -443,7 +478,7 @@ def test_relabel_gathers_are_the_slot_form_of_relabel(cat6, full5, n, flavor):
         assert type(raw) is tuple and len(raw) == len(slots)
         for s in sample:
             raw = gather(slot_key(s))
-            assert tuple(map(raw.index, raw)) == slot_key(_relabel(s, pi)), (pi, to_json(s))
+            assert bytes(map(raw.index, raw)) == slot_key(_relabel(s, pi)), (pi, to_json(s))
 
 
 def test_canonical_forms_match_canonical_form(cat6):
