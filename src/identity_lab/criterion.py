@@ -25,9 +25,10 @@ restriction queries instead; see the closure module.
 
 Implementation note: condition (iii)'s constraint graph does not depend
 on the chosen order, because a class's endpoint union equals the union of
-its pairs under every order.  The checker therefore tests acyclicity once
-and searches orders only for (i)/(ii), which is semantically identical to
-the per-order formulation but prunes entire searches.  The search itself
+its pairs under every order.  The checker therefore tests acyclicity, and
+ranks the classes, once in one depth-first walk, and searches orders only
+for (i)/(ii), which is semantically identical to the per-order
+formulation but prunes entire searches.  The search itself
 enumerates orders lexicographically with prefix pruning: a prefix dies as
 soon as a class has some element on both sides.  Verdict ties break to the
 lexicographically least accepting order.
@@ -80,26 +81,19 @@ def _span(cl) -> int:
     return m
 
 
-def _class_nodes(s: Identity):
-    """Stored classes as pair lists plus a lookup from pair mask to node.
+def _constraint_graph(s: Identity):
+    """Stored classes as pair lists, and an edge idx -> node for every
+    foreign pair inside a class's span.
 
-    Nodes 0..k-1 are the stored classes (class_list order); singleton
-    pair classes are represented by their mask.
+    Nodes 0..k-1 are the stored classes (class_list order); a singleton
+    pair class is the tagged node ("p", mask), so it can never alias a
+    class index.
     """
     stored = [tuple(sorted(c)) for c in s.class_list()]
     owner = {}
     for idx, cl in enumerate(stored):
         for b in cl:
             owner[b] = idx
-    return stored, owner
-
-
-def _digraph(stored, owner):
-    """Edges idx -> node for every foreign pair inside a class's span.
-
-    Stored-class nodes are their indexes; a singleton pair class is the
-    tagged node ("p", mask), so it can never alias a class index.
-    """
     edges = {i: set() for i in range(len(stored))}
     for i, cl in enumerate(stored):
         span = elems_of(_span(cl))
@@ -109,21 +103,25 @@ def _digraph(stored, owner):
             if p in members:
                 continue
             edges[i].add(owner.get(p, ("p", p)))
-    return edges
+    return stored, edges
 
 
-def _find_cycle(edges):
-    """A directed cycle among stored-class nodes, or None.
+def _rank_or_cycle(edges):
+    """``(rank, None)`` with longest-path-in ranks, strictly increasing
+    along every edge, or ``(None, cycle)`` when the edges cycle.
 
-    Depth-first from each node in ``edges`` order, class successors in
-    index order (singleton classes have no out-edges), so the reported
-    cycle does not depend on set order.  The walk keeps its own stack, so
-    any number of classes is fine.
+    One depth-first walk from each node in ``edges`` order, class
+    successors in index order (singleton classes have no out-edges), so
+    the reported cycle does not depend on set order.  The walk keeps its
+    own stack, so any number of classes is fine.  Without a cycle, the
+    reverse finishing order is topological, so relaxing each node's
+    out-edges in that order ranks every node, singleton sinks included.
     """
     def successors(v):
         return iter(sorted(u for u in edges.get(v, ()) if isinstance(u, int)))
 
     color = {}
+    finished = []
     for root in edges:
         if root in color:
             continue
@@ -135,7 +133,7 @@ def _find_cycle(edges):
                 c = color.get(w)
                 if c == 1:
                     path = [u for u, _ in stack]
-                    return path[path.index(w):]
+                    return None, path[path.index(w):]
                 if c is None:
                     color[w] = 1
                     stack.append((w, successors(w)))
@@ -143,26 +141,13 @@ def _find_cycle(edges):
             else:
                 stack.pop()
                 color[v] = 2
-    return None
-
-
-def _ranks(edges):
-    """Longest-path-in ranks, strictly increasing along every edge, or None
-    when the edges cycle: one in-degree (Kahn) pass, no recursion."""
-    rank = dict.fromkeys(edges, 0)
-    indeg = dict.fromkeys(edges, 0)
-    for ws in edges.values():
-        for w in ws:
-            rank[w] = 0
-            indeg[w] = indeg.get(w, 0) + 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    for v in ready:
+                finished.append(v)
+    rank = {}
+    for v in reversed(finished):
+        rank.setdefault(v, 0)
         for w in edges.get(v, ()):
-            rank[w] = max(rank[w], rank[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return rank if len(ready) == len(rank) else None
+            rank[w] = max(rank.get(w, 0), rank[v] + 1)
+    return rank, None
 
 
 def _endpoints(cl, position):
@@ -246,8 +231,8 @@ def check(s: Identity, strengthened: bool = False) -> CriterionVerdict:
     if s.flavor != "pairs":
         raise UsageError(f"criterion needs pairs flavor, got {s.flavor!r}")
     active = s.active_elements()
-    stored, owner = _class_nodes(s)
-    rank = _ranks(_digraph(stored, owner))
+    stored, edges = _constraint_graph(s)
+    rank, _ = _rank_or_cycle(edges)
     if rank is None:
         return CriterionVerdict(False, strengthened)
     order_active = _order_search(stored, active)
@@ -347,7 +332,7 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
     no per-order list; an acyclic one is a size-guard error.
     """
     _check_valid(s)
-    stored, owner = _class_nodes(s)
+    stored, edges = _constraint_graph(s)
     lines = []
     if verdict.accepted:
         _audit_accept(verdict, s)
@@ -362,7 +347,7 @@ def explain(verdict: CriterionVerdict, s: Identity) -> dict:
             lines.append(f"singleton pair {tuple(p)}: rank {r}")
         lines.append("independent re-verification passed")
         return {"accepted": True, "lines": lines}
-    cycle = _find_cycle(_digraph(stored, owner))
+    _, cycle = _rank_or_cycle(edges)
     if cycle is not None:
         lines.append(f"constraint cycle among classes: {cycle}")
     active = s.active_elements()

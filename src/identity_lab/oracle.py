@@ -63,6 +63,8 @@ def _pairs(n: int):
 
 
 def _validate_coloring(c: Coloring):
+    if c.n_ground < 1:
+        raise UsageError(f"ground size must be positive, got {c.n_ground}")
     if c.arity < 1 or c.arity > 2:
         raise UsageError(f"supported arities are 1 and 2, got {c.arity}")
     if c.arity >= 2:
@@ -141,6 +143,8 @@ def builtin_coloring(kind: str, /, **params) -> Coloring:
         ):
             raise UsageError("sierpinski_meet strings must be a list of strings")
         strings = list(strings)
+        if not strings:
+            raise UsageError("sierpinski_meet needs at least one string")
         if len(set(strings)) != len(strings):
             raise UsageError("sierpinski_meet strings must be distinct")
         if len(strings) > 16:
@@ -481,6 +485,8 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     up to 10 and refused at 11.  N is checked against GROUND_BOUND before
     the pair list and color table are built."""
     check_ground(N)
+    if N < 1:
+        raise UsageError(f"ground size must be positive, got {N}")
     if num_colors < 1:
         raise UsageError("need at least one color")
     classes = _stored_pair_classes(s)

@@ -181,12 +181,29 @@ def test_usage_errors_exit_2(tmp_path):
         {"builtin": "random", "n": "9", "colors": 3.5, "seed": "1"},
         {"n": 3, "arity": 2, "table": {**pairs3, " 0, 1": 1}},
         {"n": 3, "arity": 2, "table": {**pairs3, "0_1,2": 0}},
+        # a coloring needs at least one point
+        {"n": -5, "arity": 2, "table": {}},
+        {"n": 0, "arity": 2, "table": {}},
+        {"builtin": "sierpinski_meet", "strings": []},
     )):
         col = tmp_path / f"bad_col{i}.json"
         col.write_text(json.dumps(desc))
         proc = run("oracle", "--coloring", str(col), "--identity", str(ident))
         assert proc.returncode == 2, desc
         assert "Traceback" not in proc.stderr
+        assert main_in_process("oracle", "--coloring", str(col), "--list")[0] == 2, desc
+    col = tmp_path / "bad_col10.json"  # n = -5
+    proc = run("oracle", "--coloring", str(col), "--list")
+    assert proc.returncode == 2, col.read_text()
+    assert "ground size must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    for n in ("0", "-3"):
+        argv = ("arrow", "--n", n, "--identity", str(ident), "--colors", "2")
+        proc = run(*argv)
+        assert proc.returncode == 2, n
+        assert "ground size must be positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert main_in_process(*argv)[0] == 2, n
 
     # catalogs are checked on load
     entry = {"identity": {"n": 2, "flavor": "pairs", "classes": []}, "trace": []}

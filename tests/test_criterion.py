@@ -18,13 +18,12 @@ from identity_lab import (
     trivial,
     trivial_full,
 )
-from identity_lab.core import elems_of, from_json, identity_from_subsets
+from identity_lab.core import elems_of, from_json, identity_from_subsets, mask_of
 from identity_lab.criterion import (
     _audit_accept,
-    _class_nodes,
-    _find_cycle,
+    _constraint_graph,
     _order_search,
-    _ranks,
+    _rank_or_cycle,
     check,
     explain,
 )
@@ -154,10 +153,116 @@ def test_one_class_passes_iff_its_pair_graph_is_bipartite():
     assert outcomes == {True, False}
 
 
+def reference_ranks(edges):
+    """Longest-path-in ranks, strictly increasing along every edge, or None
+    when the edges cycle: one in-degree (Kahn) pass, no recursion."""
+    rank = dict.fromkeys(edges, 0)
+    indeg = dict.fromkeys(edges, 0)
+    for ws in edges.values():
+        for w in ws:
+            rank[w] = 0
+            indeg[w] = indeg.get(w, 0) + 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    for v in ready:
+        for w in edges.get(v, ()):
+            rank[w] = max(rank[w], rank[v] + 1)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return rank if len(ready) == len(rank) else None
+
+
+def reference_find_cycle(edges):
+    """A directed cycle among stored-class nodes, or None.
+
+    Depth-first from each node in ``edges`` order, class successors in
+    index order (singleton classes have no out-edges), so the reported
+    cycle does not depend on set order.  The walk keeps its own stack, so
+    any number of classes is fine.
+    """
+    def successors(v):
+        return iter(sorted(u for u in edges.get(v, ()) if isinstance(u, int)))
+
+    color = {}
+    for root in edges:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, successors(root))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                c = color.get(w)
+                if c == 1:
+                    path = [u for u, _ in stack]
+                    return path[path.index(w):]
+                if c is None:
+                    color[w] = 1
+                    stack.append((w, successors(w)))
+                    break
+            else:
+                stack.pop()
+                color[v] = 2
+    return None
+
+
+def reference_constraint_edges(s):
+    """Condition (iii) read off the definition: class idx points at the
+    class of every pair drawn from its endpoint union that is not itself
+    in class idx; a pair in no stored class is the node ("p", mask)."""
+    classes = [{elems_of(b) for b in cl} for cl in s.class_list()]
+    edges = {}
+    for idx, cl in enumerate(classes):
+        union = sorted({x for pair in cl for x in pair})
+        edges[idx] = set()
+        for pair in itertools.combinations(union, 2):
+            if pair in cl:
+                continue
+            owners = [j for j, other in enumerate(classes) if pair in other]
+            edges[idx].add(owners[0] if owners else ("p", mask_of(pair)))
+    return edges
+
+
+def ranks_matching_references(edges):
+    """The ranks of ``_rank_or_cycle``, after checking its ranks and cycle
+    against the two references."""
+    rank, cycle = _rank_or_cycle(edges)
+    assert rank == reference_ranks(edges)
+    assert cycle == reference_find_cycle(edges)
+    assert (rank is None) != (cycle is None)
+    return rank
+
+
+def test_rank_or_cycle_matches_references(cat6):
+    families = [s_k(k) for k in range(1, 7)] + [s_prime_n(n) for n in range(1, 5)]
+    families += [s_doubleprime_n(n) for n in range(1, 4)]
+    outcomes = set()
+    for s in list(cat6.members()) + families:
+        outcomes.add(ranks_matching_references(_constraint_graph(s)[1]) is None)
+    assert outcomes == {True, False}
+
+
+@st.composite
+def constraint_digraphs(draw):
+    """Class nodes 0..k-1 pointing at classes, themselves included, and at
+    tagged singleton sinks."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    targets = st.one_of(
+        st.integers(min_value=0, max_value=k - 1),
+        st.integers(min_value=1, max_value=6).map(lambda m: ("p", m)),
+    )
+    return {i: draw(st.sets(targets, max_size=4)) for i in range(k)}
+
+
+@given(edges=constraint_digraphs())
+def test_rank_or_cycle_matches_references_on_digraphs(edges):
+    ranks_matching_references(edges)
+
+
 def test_ranks_take_one_pass_without_recursion():
     chain = {i: {i + 1} for i in range(4999)} | {4999: set()}
-    assert _ranks(chain)[4999] == 4999
-    assert _ranks({0: {1}, 1: {0}}) is None
+    assert _rank_or_cycle(chain)[0][4999] == 4999
+    assert _rank_or_cycle({0: {1}, 1: {0}})[0] is None
     # 1,027 classes on 72 points, each feeding the next: the rank pass
     # answers, and the order search then runs out of nodes
     chained = identity_from_subsets(72, "pairs", cherry_chain(72, 3))
@@ -192,7 +297,7 @@ def test_order_search_matches_brute_force():
         for p in pairs[: rng.randint(2, len(pairs))]:
             rng.choice(classes).append(p)
         s = identity_from_subsets(n, "pairs", classes)
-        stored, _ = _class_nodes(s)
+        stored, _ = _constraint_graph(s)
         found = _order_search(stored, s.active_elements())
         assert found == brute_order(stored, s.active_elements()), classes
         outcomes.add(found is None)
@@ -263,15 +368,12 @@ def test_accepted_witness_satisfies_endpoint_conditions(cat6):
 
 
 def test_rank_increases_along_constraint_edges(cat6):
-    from identity_lab.core import mask_of
-    from identity_lab.criterion import _class_nodes, _digraph
-
     sample = [s for s in cat6.members() if s.classes][:300]
     for s in sample:
         v = check(s)
         assert v.accepted
-        stored, owner = _class_nodes(s)
-        edges = _digraph(stored, owner)
+        edges = reference_constraint_edges(s)
+        assert _constraint_graph(s)[1] == edges
         pair_rank = {mask_of(p): r for p, r in v.pair_ranks}
         for i, outs in edges.items():
             for t in outs:
@@ -322,9 +424,9 @@ def test_explain_reports_rank_cycles_above_the_bound():
 
 def test_find_cycle_needs_no_recursion():
     edges = {i: {(i + 1) % 5000, ("p", 3)} for i in range(5000)}
-    assert _find_cycle(edges) == list(range(5000))
+    assert _rank_or_cycle(edges)[1] == list(range(5000))
     del edges[4999]
-    assert _find_cycle(edges) is None
+    assert _rank_or_cycle(edges)[1] is None
 
 
 def test_explain_guard_on_wide_active_sets():

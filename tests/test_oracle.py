@@ -476,6 +476,9 @@ def test_arrow_check_refuses_ground_above_the_bound():
     triangle = identity_from_subsets(3, "pairs", [[[0, 1], [0, 2], [1, 2]]])
     with pytest.raises(SizeGuardError, match=r"ground size 73 exceeds the bound 72"):
         arrow_check(73, triangle, 2)
+    for n in (0, -3):
+        with pytest.raises(UsageError, match="ground size must be positive"):
+            arrow_check(n, triangle, 2)
 
 
 def test_arrow_check_ramsey_anchor():
@@ -618,6 +621,10 @@ def test_coloring_json_reads_integers_and_canonical_keys_only():
         {"builtin": "min_pair", "n": 4.0},
         {"builtin": "constant", "n": True},
         {"builtin": "sierpinski_meet", "len": "3"},
+        # a coloring needs at least one point
+        {"n": -5, "arity": 2, "table": {}},
+        {"n": 0, "arity": 2, "table": {}},
+        {"builtin": "sierpinski_meet", "strings": []},
     ]
     refused += [{"n": 3, "arity": 2, "table": {**pairs3, "1,2": v}}
                 for v in (True, 1.0, 1.7, "1", None)]
