@@ -36,3 +36,8 @@ def cat6():
 @pytest.fixture(scope="session")
 def full5():
     return generate_catalog(5, "full")
+
+
+@pytest.fixture(scope="session")
+def full6():
+    return generate_catalog(6, "full")

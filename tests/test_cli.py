@@ -18,10 +18,13 @@ from identity_lab import (
     catalog_from_json,
     coloring_from_json,
     from_json,
+    permute,
     to_json,
+    trivial,
 )
 from identity_lab.cli import _dump, main
 from identity_lab.closure import catalog_to_json, generate_catalog
+from test_closure import CATALOG_SHA256
 from test_criterion import ORDER_SEARCH_PAST_GUARD
 from test_oracle import brute_unordered_id_of, reference_ordered_id_of
 
@@ -307,6 +310,27 @@ def test_catalog_member_flow(tmp_path, sk3_file):
     assert run("member", "--catalog", str(cat), "--in", str(t3)).returncode == 0
     # oversized queries are a guard, not a negative
     assert run("member", "--catalog", str(cat), "--in", sk3_file).returncode == 4
+
+
+def test_full_catalog_member_flow(tmp_path):
+    cat = tmp_path / "full5.json"
+    proc = run("catalog", "--max-size", "5", "--full", "--json", "--out", str(cat))
+    assert proc.returncode == 0
+    assert report(proc)["output"] == {"entries": 166, "max_n": 5, "out": str(cat)}
+    assert hashlib.sha256(cat.read_bytes()).hexdigest() == CATALOG_SHA256["full", 5]
+
+    # a size-5 entry reversed, which is not itself an entry: a member up
+    # to relabeling (exit 0) but not in order (exit 3)
+    entries = catalog_from_json(json.loads(cat.read_text())).entries
+    moved = (permute(s, range(4, -1, -1)) for s in entries if s.n == 5)
+    query = tmp_path / "moved5.json"
+    query.write_text(json.dumps(to_json(next(t for t in moved if t not in entries))))
+    assert run("member", "--catalog", str(cat), "--in", str(query)).returncode == 0
+    proc = run("member", "--catalog", str(cat), "--in", str(query), "--ordered")
+    assert proc.returncode == 3
+    # a pairs query against a full catalog is a usage error
+    query.write_text(json.dumps(to_json(trivial(3))))
+    assert run("member", "--catalog", str(cat), "--in", str(query)).returncode == 2
 
 
 def test_member_negative_on_missing_pattern(tmp_path, cat6):

@@ -52,7 +52,21 @@ from identity_lab.core import (
     relabelings,
 )
 
-CATALOG6_SHA256 = "6dd956271bd0f926b828d747255a723dea36805631b2d3528e905038369da069"
+# sha256 of each catalog as `catalog --max-size n [--full]` writes it
+CATALOG_SHA256 = {
+    ("pairs", 1): "485344581778982b1ea4c7303bf435870e9292ddb668c41fe2eab18d76b29fd3",
+    ("pairs", 2): "c027d2de8fbad0a4edab48a484350e9894425072c702071c45ad905bf31d5de0",
+    ("pairs", 3): "4ada66fe54843e269f12e675c4723a8b4c3ee606a8f1f13f66587a4d69b8ef4e",
+    ("pairs", 4): "8e211a0b597253692ca5d995f10482c6a0278fac4990b8c03abcf57a2346363c",
+    ("pairs", 5): "3d51c5fdedc36f9dfb4992e2cf5322e36783bc40f40d87662b1868764f5efe2c",
+    ("pairs", 6): "6dd956271bd0f926b828d747255a723dea36805631b2d3528e905038369da069",
+    ("full", 1): "037d85993fd4ce8b33180bcdcaa50db8b2dfe492888b355fb3383cbedfc5b625",
+    ("full", 2): "7f0aceed4233528c79581b4ca244442ac711b1afaf0c0bca8ce4537ca2f7c481",
+    ("full", 3): "784423dcfce3cfc9d981b132eea94ceeae373375f5d525326e74109f004e76ef",
+    ("full", 4): "cb78cad8a2b28f0f4b8b165d2384e8da960ab88e302c3a3bf21d83875f1a188b",
+    ("full", 5): "ae4d53252518a534298ce34aabe29a624987cedc517e585145c5c5600b2a78b9",
+    ("full", 6): "ed93a8e04f85cc246571403f1f39b15b614dbc3840bb129d07444aba87f2ac87",
+}
 
 
 def reference_catalog(max_n, flavor):
@@ -266,6 +280,14 @@ def test_monotone_generation(cat4, cat6):
     assert small == set(cat4.members())
 
 
+def test_catalog_is_closed_under_dropping_one_element(cat6, full5, full6):
+    # the promise of Catalog: a restriction to n - 1 elements stays inside
+    for cat in (cat6, full5, full6):
+        for s in cat.members():
+            for x in range(s.n if s.n > 1 else 0):
+                assert restrict(s, (1 << s.n) - 1 - (1 << x)) in cat, (s, x)
+
+
 def test_restrict_then_duplicate_recovers(cat4):
     # keeping exactly the originals undoes any duplication
     for s in cat4.members():
@@ -332,9 +354,14 @@ def test_generation_steps_skip_maps_that_find_nothing(flavor):
         assert counts == [1, 6, 32, 100, 178, 120]
 
 
-def test_catalog6_serialization_pinned(cat6):
-    text = _dump(catalog_to_json(cat6)) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG6_SHA256
+@pytest.mark.parametrize(("flavor", "max_n"), list(CATALOG_SHA256))
+def test_catalog_serialization_pinned(request, flavor, max_n):
+    # entries, their order and their traces, byte for byte
+    fixture = {("pairs", 6): "cat6", ("full", 5): "full5", ("full", 6): "full6"}
+    name = fixture.get((flavor, max_n))
+    cat = request.getfixturevalue(name) if name else generate_catalog(max_n, flavor)
+    text = _dump(catalog_to_json(cat)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[flavor, max_n]
 
 
 def test_traces_replay(cat6):
