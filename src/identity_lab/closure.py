@@ -8,17 +8,18 @@ operations.
 
 Generation note: a naive fixed-point loop that discards oversized
 duplication results is incomplete, because some small members are only
-reachable through larger intermediates (the 3-element all-singleton
-pattern needs a 4-element parent).  The two operations commute, and every
-reachable identity of size <= N can be produced by a chain of two
-bounded step shapes: dropping one element, and a generalized partial
-duplication whose result also stays <= N.  That step splits the ground set
-at m < n, duplicates the tail m..n-1, and gives each tail element a fate:
-0 keeps the original, 1 keeps the original and its copy (doubling it), 2
-keeps only the copy.  It is one duplicate followed by one restrict, so
-provenance traces replay through the two public operations.  Only the
-fates that fit are enumerated: at least one nonzero fate, and at most
-N - n ones, so a size-N parent draws its fates from {0, 2} alone.
+reachable through larger intermediates (the 3-element all-singleton pattern
+needs a 4-element parent).  The two operations commute, and every reachable
+identity of size <= N comes from a chain of one bounded step: a generalized
+partial duplication whose result also stays <= N.  It splits the ground set
+at m < n, duplicates the tail m..n-1, and gives each tail element a fate: 0
+keeps the original, 1 keeps the original and its copy (doubling it), 2 keeps
+only the copy: one duplicate and one restrict, so traces replay through the
+public operations.  Only the fates that fit are enumerated: at least one
+nonzero fate, and at most N - n ones, so a size-N parent draws its fates
+from {0, 2} alone.  No step drops an element: a drop of a step's child is
+the same step on a drop of the parent, or the step with one fate changed,
+so it is reached no later (a sketch, checked exhaustively to max_n = 7).
 
 The BFS runs neither operation.  A pairs (full) identity is a set
 partition of its slots, the C(n,2) pairs (2^n subsets) in ``_domain_masks``
@@ -106,6 +107,8 @@ def restrict(s: Identity, keep) -> Identity:
     elements are relabeled order-preservingly onto 0..|keep|-1; induced
     classes that fall to a single member become implicit singletons.
     """
+    if isinstance(keep, int) and keep < 0:
+        raise UsageError(f"keep mask must be nonnegative, got {keep}")
     kept = elems_of(keep) if isinstance(keep, int) else tuple(sorted(set(keep)))
     if not kept:
         raise UsageError("restriction needs a nonempty keep set")
@@ -251,18 +254,18 @@ def _relabeled_keys(key: bytes, n: int, flavor: str):
 def _generation_steps(n: int, max_n: int, flavor: str):
     """The generation steps out of size n, in enumeration order.
 
-    Returns ``(fresh, steps)`` with steps ``(trace, size, gather)``; a drop
-    is the split at m = n, where duplication is the no-op.  Child slot c
-    lifts through ``kept`` to a mask M on the doubled ground, whose parent
-    slot is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a
-    fresh singleton.  ``gather(key + fresh)`` is the child's raw labels,
+    Returns ``(fresh, steps)`` with steps ``(trace, size, gather)``, each
+    trace ``(("dup", m), ("res", kept))`` with m < n.  Child slot c lifts
+    through ``kept`` to a mask M on the doubled ground, whose parent slot
+    is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a fresh
+    singleton.  ``gather(key + fresh)`` is the child's raw labels,
     and ``fresh`` is ``bytes``.  A step whose slot map is the identity
     (its child is the parent) or repeats an earlier step's ``(size, map)``
     (its child is already seen) finds nothing and is left out.
     """
     slots, index = _slots(n, flavor), _slot_index(n, flavor)
-    splits = [(n, tuple(y for y in range(n) if y != x)) for x in range(n if n > 1 else 0)]
     fates = (0, 2) if n == max_n else (0, 1, 2)
+    splits = []
     for m in range(n):
         for fate in itertools.product(fates, repeat=n - m):
             if any(fate) and fate.count(1) <= max_n - n:
@@ -287,8 +290,7 @@ def _generation_steps(n: int, max_n: int, flavor: str):
             continue
         maps.add(step_map)
         width = max(width, fresh)
-        trace = (("res", kept),) if m == n else (("dup", m), ("res", kept))
-        steps.append((trace, len(kept), _gather(idx)))
+        steps.append(((("dup", m), ("res", kept)), len(kept), _gather(idx)))
     return bytes(range(len(slots), width)), steps
 
 
@@ -335,14 +337,16 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
 
     Breadth-first fixed point from the 1-element identity over the bounded
     steps of the module docstring.  Each frontier member, in ``encoding``
-    order, takes its drops, then for m = 0..n-1 its fitting fate tuples in
-    lexicographic order (the order of a walk over all 3^(n-m) of them),
-    and the first step to reach an identity gives its trace: minimal-depth
-    and replayable through the two public operations.  Steps run on
-    ``bytes`` slot keys: the parent's first-occurrence key is gathered
-    through the step's slot map, built once per size, and put through
-    ``_renormalized``; only a key not seen before becomes an ``Identity``.
+    order, takes for m = 0..n-1 its fitting fate tuples in lexicographic
+    order (the order of a walk over all 3^(n-m) of them), and the first
+    step to reach an identity gives its trace: minimal-depth and replayable
+    through the two public operations.  Steps run on ``bytes`` slot keys:
+    the parent's first-occurrence key is gathered through the step's slot
+    map, built once per size, and put through ``_renormalized``; only a
+    key not seen before becomes an ``Identity``.
     """
+    if type(max_n) is not int:
+        raise UsageError(f"catalog max_n must be an integer, got {max_n!r}")
     if max_n < 1:
         raise UsageError(f"catalog bound must be >= 1, got {max_n}")
     if max_n > GENERATION_BOUND:

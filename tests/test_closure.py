@@ -252,6 +252,10 @@ def test_restrict_accepts_masks_and_iterables():
 def test_restrict_rejects_empty_keep():
     with pytest.raises(UsageError):
         restrict(trivial(3), ())
+    # a negative mask is no keep set, not its two's complement
+    for keep in (-1, -5, -64):
+        with pytest.raises(UsageError, match=f"keep mask must be nonnegative, got {keep}"):
+            restrict(s_k(3), keep)
 
 
 def test_catalog_counts(cat4, cat6):
@@ -273,6 +277,9 @@ def test_catalog_guard_and_usage():
         generate_catalog(0)
     with pytest.raises(UsageError):
         generate_catalog(3, "partial")
+    for max_n in (6.0, "6", True, None):
+        with pytest.raises(UsageError, match="catalog max_n must be an integer"):
+            generate_catalog(max_n)
 
 
 def test_monotone_generation(cat4, cat6):
@@ -340,7 +347,8 @@ def test_generation_step_labels_fit_a_byte(flavor):
 @pytest.mark.parametrize("flavor", ["pairs", "full"])
 def test_generation_steps_skip_maps_that_find_nothing(flavor):
     # no step is the identity map (its child is the parent) or repeats an
-    # earlier step's (size, map) (its child is already seen)
+    # earlier step's (size, map) (its child is already seen), and every
+    # step is a growth step: no step drops an element alone
     counts = []
     for n in range(1, 7):
         fresh, steps = _generation_steps(n, 6, flavor)
@@ -349,9 +357,15 @@ def test_generation_steps_skip_maps_that_find_nothing(flavor):
         maps = [(size, gather(labels)) for _, size, gather in steps]
         assert (n, labels[:width]) not in maps
         assert len(set(maps)) == len(maps)
+        for trace, _, _ in steps:
+            (dup, m), (res, kept) = trace
+            assert dup == "dup" and res == "res" and 0 <= m < n, trace
+            assert type(kept) is tuple
         counts.append(len(steps))
-    if flavor == "pairs":
-        assert counts == [1, 6, 32, 100, 178, 120]
+    assert counts == {
+        "pairs": [1, 5, 29, 96, 173, 114],
+        "full": [1, 8, 33, 102, 181, 114],
+    }[flavor]
 
 
 @pytest.mark.parametrize(("flavor", "max_n"), list(CATALOG_SHA256))
