@@ -18,8 +18,8 @@ only the copy: one duplicate and one restrict, so traces replay through the
 public operations.  Only the fates that fit are enumerated: at least one
 nonzero fate, and at most N - n ones, so a size-N parent draws its fates
 from {0, 2} alone.  No step drops an element: a drop of a step's child is
-the same step on a drop of the parent, or the step with one fate changed,
-so it is reached no later (a sketch, checked exhaustively to max_n = 7).
+the same step on a drop of the parent, or the step with one fate changed, so
+it is reached no later (a sketch, checked exhaustively up to GENERATION_BOUND).
 
 The BFS runs neither operation.  A pairs (full) identity is a set
 partition of its slots, the C(n,2) pairs (2^n subsets) in ``_domain_masks``
