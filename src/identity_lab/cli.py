@@ -17,8 +17,8 @@ import time
 
 from . import __version__
 from .closure import (
+    _catalog_chunks,
     catalog_from_json,
-    catalog_to_json,
     generate_catalog,
     member_of_catalog,
 )
@@ -55,12 +55,17 @@ def _read_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _report(args, digest_parts, output_text) -> str:
+def _digest(*parts):
+    """SHA-256 of a command's inputs, in order: the report's inputs_digest."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest
+
+
+def _report(args, digest, output_text) -> str:
     """The report envelope around the output's JSON text: ``_dump`` of the
     report dict, keys in sorted order, without re-encoding the output."""
-    digest = hashlib.sha256()
-    for part in digest_parts:
-        digest.update(part)
     return (
         f'{{"command":{_dump(args._argv)},'
         f'"inputs_digest":{_dump(digest.hexdigest())},'
@@ -69,9 +74,9 @@ def _report(args, digest_parts, output_text) -> str:
     )
 
 
-def _emit(args, digest_parts, output_text, text_lines):
+def _emit(args, digest, output_text, text_lines):
     if args.json:
-        print(_report(args, digest_parts, output_text))
+        print(_report(args, digest, output_text))
     else:
         for line in text_lines:
             print(line)
@@ -111,7 +116,7 @@ def _cmd_builtin(args):
         }[fam]  # argparse admits only these choices
         d = to_json(make(_require(value, flag, fam)))
     text = _dump(d)
-    _emit(args, [text.encode()], text, [text])
+    _emit(args, _digest(text.encode()), text, [text])
     return EXIT_OK
 
 
@@ -133,20 +138,21 @@ def _cmd_check(args):
     ]
     if governing.accepted:
         lines.append(f"order: {list(governing.order)}")
-    _emit(args, [data], _dump(out), lines)
+    _emit(args, _digest(data), _dump(out), lines)
     return EXIT_OK if governing.accepted else EXIT_NEGATIVE
 
 
 def _cmd_catalog(args):
     cat = generate_catalog(args.max_size, "full" if args.full else "pairs")
-    d = catalog_to_json(cat)
-    payload = _dump(d) + "\n"
+    digest = hashlib.sha256()
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        for chunk in _catalog_chunks(cat):
+            fh.write(chunk)
+            digest.update(chunk.encode())
     out = {"entries": len(cat), "max_n": cat.max_n, "out": args.out}
     _emit(
         args,
-        [payload.encode()],
+        digest,
         _dump(out),
         [f"{len(cat)} entries up to size {cat.max_n} written to {args.out}"],
     )
@@ -161,7 +167,7 @@ def _cmd_member(args):
     hit = member_of_catalog(cat, ident, ordered=args.ordered)
     _emit(
         args,
-        [cat_data, s_data],
+        _digest(cat_data, s_data),
         _dump({"member": hit, "ordered": args.ordered}),
         ["member" if hit else "not a member"],
     )
@@ -175,7 +181,7 @@ def _cmd_oracle(args):
         texts = _id_of_texts(coloring, args.max_size, args.ordered)
         # text mode prints the texts alone: join the report only for --json
         joined = '{"identities":[' + ",".join(texts) + "]}" if args.json else None
-        _emit(args, [col_data], joined, texts)
+        _emit(args, _digest(col_data), joined, texts)
         return EXIT_OK
     if not args.identity:
         raise UsageError("oracle needs --identity or --list")
@@ -183,7 +189,7 @@ def _cmd_oracle(args):
     ident = from_json(s_raw)
     real = realizes(coloring, ident, ordered=args.ordered)
     if real is None:
-        _emit(args, [col_data, s_data], _dump({"realization": None}), ["none"])
+        _emit(args, _digest(col_data, s_data), _dump({"realization": None}), ["none"])
         return EXIT_NEGATIVE
     out = {
         "realization": {
@@ -191,7 +197,7 @@ def _cmd_oracle(args):
             "pulled_colors": list(real.pulled_colors),
         }
     }
-    _emit(args, [col_data, s_data], _dump(out), [f"embedding {list(real.embedding)}"])
+    _emit(args, _digest(col_data, s_data), _dump(out), [f"embedding {list(real.embedding)}"])
     return EXIT_OK
 
 
@@ -201,7 +207,7 @@ def _cmd_arrow(args):
     ok = arrow_check(args.n, ident, args.colors)
     _emit(
         args,
-        [s_data],
+        _digest(s_data),
         _dump({"arrow": ok, "n": args.n, "colors": args.colors}),
         ["true" if ok else "false"],
     )
@@ -212,7 +218,7 @@ def _cmd_simplify(args):
     raw, data = _read_json(args.infile)
     ident = from_json(raw)
     text = _dump(to_json(simplify_k(ident, args.k)))
-    _emit(args, [data], text, [text])
+    _emit(args, _digest(data), text, [text])
     return EXIT_OK
 
 
@@ -220,7 +226,7 @@ def _cmd_extend_order(args):
     raw, data = _read_json(args.infile)
     ident = from_json(raw)
     text = _dump(to_json(order_forcing_extension(ident)))
-    _emit(args, [data], text, [text])
+    _emit(args, _digest(data), text, [text])
     return EXIT_OK
 
 
@@ -229,7 +235,7 @@ def _cmd_explain(args):
     ident = from_json(raw)
     verdict = check(ident, strengthened=args.strengthened)
     report = explain(verdict, ident)
-    _emit(args, [data], _dump(report), report["lines"])
+    _emit(args, _digest(data), _dump(report), report["lines"])
     return EXIT_OK if verdict.accepted else EXIT_NEGATIVE
 
 

@@ -42,11 +42,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .core import (
     Identity,
     _domain_masks,
+    _dump,
     elems_of,
     encoding,
     from_json,
@@ -80,6 +82,8 @@ def duplicate(s: Identity, m: int) -> Identity:
     """
     if s.flavor == "partial":
         raise UsageError("duplicate is defined for pairs and full flavors")
+    if type(m) is not int:  # a bool or a float is no split point
+        raise UsageError(f"split point m must be an integer, got {m!r}")
     if not 0 <= m <= s.n:
         raise UsageError(f"split point m={m} out of range 0..{s.n}")
     n = s.n
@@ -103,13 +107,22 @@ def duplicate(s: Identity, m: int) -> Identity:
 def restrict(s: Identity, keep) -> Identity:
     """Induce the pattern on a subset of the ground set.
 
-    ``keep`` is an iterable of elements or a subset bitmask.  Kept
-    elements are relabeled order-preservingly onto 0..|keep|-1; induced
-    classes that fall to a single member become implicit singletons.
+    ``keep`` is a subset bitmask or an iterable of elements, all plain
+    ints (a bool is neither).  Kept elements are relabeled
+    order-preservingly onto 0..|keep|-1; induced classes that fall to a
+    single member become implicit singletons.
     """
-    if isinstance(keep, int) and keep < 0:
-        raise UsageError(f"keep mask must be nonnegative, got {keep}")
-    kept = elems_of(keep) if isinstance(keep, int) else tuple(sorted(set(keep)))
+    if type(keep) is int:
+        if keep < 0:
+            raise UsageError(f"keep mask must be nonnegative, got {keep}")
+        kept = elems_of(keep)
+    else:
+        kept = tuple(keep) if isinstance(keep, Iterable) else None
+        if kept is None or any(type(x) is not int for x in kept):
+            raise UsageError(
+                f"keep must be an int mask or an iterable of ints, got {keep!r}"
+            )
+        kept = tuple(sorted(set(kept)))
     if not kept:
         raise UsageError("restriction needs a nonempty keep set")
     if kept[0] < 0 or kept[-1] >= s.n:
@@ -418,17 +431,31 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
 def catalog_to_json(cat: Catalog) -> dict:
     d = {
         "max_n": cat.max_n,
-        "entries": [
-            {
-                "identity": to_json(e.identity),
-                "trace": [[op, list(arg) if op == "res" else arg] for op, arg in e.trace],
-            }
-            for e in cat.entries.values()
-        ],
+        "entries": [_entry_to_json(e) for e in cat.entries.values()],
     }
     if cat.flavor != "pairs":
         d["flavor"] = cat.flavor
     return d
+
+
+def _entry_to_json(e: CatalogEntry) -> dict:
+    return {
+        "identity": to_json(e.identity),
+        "trace": [[op, list(arg) if op == "res" else arg] for op, arg in e.trace],
+    }
+
+
+def _catalog_chunks(cat: Catalog):
+    """The catalog file's text, ``_dump(catalog_to_json(cat))`` and a
+    newline, in pieces, one per entry, so a writer holds one entry's text
+    at a time.  "entries" is the first key in sorted order, so its empty
+    list is the first "[]" of the same catalog without entries."""
+    empty = _dump(catalog_to_json(Catalog(cat.max_n, cat.flavor, {})))
+    cut = empty.index("[]") + 1
+    yield empty[:cut]
+    for i, e in enumerate(cat.entries.values()):
+        yield ("," if i else "") + _dump(_entry_to_json(e))
+    yield empty[cut:] + "\n"
 
 
 def _check_step(op, arg) -> None:

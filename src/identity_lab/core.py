@@ -49,6 +49,19 @@ def check_ground(n: int) -> None:
         )
 
 
+def check_ground_exponent(exponent: int, what: str) -> None:
+    """Refuse a ground of at least 2**exponent points above GROUND_BOUND.
+
+    The exponent decides, so no power of an unchecked input is built;
+    ``what`` names the request in the size-guard error.
+    """
+    if exponent >= GROUND_BOUND.bit_length():
+        raise SizeGuardError(
+            f"{what} needs at least 2^{exponent} points, over the ground "
+            f"bound {GROUND_BOUND}"
+        )
+
+
 def mask_of(elems) -> int:
     """Bitmask of an iterable of ground elements."""
     m = 0

@@ -3,6 +3,8 @@
 Contains the trivial pattern, the two-class separating families (s_k,
 s_prime_n, s_doubleprime_n), the meet-respecting structures on binary
 strings, the k-simplification coarsening, and the order-forcing extension.
+Every constructor refuses a ground above ``core.GROUND_BOUND`` before it
+builds anything, on the exponent where the ground has 2^n points or more.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from .core import (
     Identity,
     _class_id_map,
     check_ground,
+    check_ground_exponent,
     elems_of,
     mask_of,
     permute_mask,
     validate,
 )
-from .errors import SizeGuardError, UsageError
+from .errors import UsageError
 
 
 def trivial(n: int) -> Identity:
@@ -99,8 +102,7 @@ def s_doubleprime_n(n: int) -> Identity:
     """
     if n < 1:
         raise UsageError(f"s_doubleprime_n needs n >= 1, got {n}")
-    if n > 3:
-        raise SizeGuardError(f"s_doubleprime_n supports n <= 3, got {n}")
+    check_ground_exponent(2 * n, f"s_doubleprime_n n={n}")
     base = 1 << n
 
     def value(bits) -> int:
@@ -155,10 +157,7 @@ def max_meet_identity(n_str: int) -> LabeledIdentity:
     """
     if n_str < 1:
         raise UsageError(f"max_meet_identity needs n_str >= 1, got {n_str}")
-    if (1 << n_str) > 16:
-        raise SizeGuardError(
-            f"max_meet_identity supports 2^n_str <= 16, got n_str={n_str}"
-        )
+    check_ground_exponent(n_str, f"max_meet_identity n_str={n_str}")
     strings = ["".join(bits) for bits in itertools.product("01", repeat=n_str)]
     strings.sort()
     groups = {}

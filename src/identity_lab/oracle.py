@@ -27,6 +27,7 @@ from .core import (
     _check_valid,
     _dump,
     check_ground,
+    check_ground_exponent,
     elems_of,
     first_injection,
     to_json,
@@ -35,7 +36,6 @@ from .errors import SizeGuardError, UsageError
 from .families import meet
 
 ID_OF_MAX_SIZE = 6
-ID_OF_MAX_GROUND = 10
 ID_OF_OUTPUT_CAP = 200_000
 
 
@@ -135,8 +135,7 @@ def builtin_coloring(kind: str, /, **params) -> Coloring:
             length = _int_param(params, "len")
             if length < 1:
                 raise UsageError("sierpinski_meet needs len >= 1")
-            if length > 4:  # checked before the 2**len strings are built
-                raise SizeGuardError(f"sierpinski_meet supports len <= 4, got {length}")
+            check_ground_exponent(length, f"sierpinski_meet len={length}")
             strings = ["".join(b) for b in itertools.product("01", repeat=length)]
         elif not isinstance(strings, (list, tuple)) or not all(
             isinstance(x, str) for x in strings
@@ -147,10 +146,7 @@ def builtin_coloring(kind: str, /, **params) -> Coloring:
             raise UsageError("sierpinski_meet needs at least one string")
         if len(set(strings)) != len(strings):
             raise UsageError("sierpinski_meet strings must be distinct")
-        if len(strings) > 16:
-            raise SizeGuardError(
-                f"sierpinski_meet supports at most 16 strings, got {len(strings)}"
-            )
+        check_ground(len(strings))
         strings.sort()
         raw = {}
         for i, j in _pairs(len(strings)):
@@ -304,12 +300,13 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     describe the same isomorphism classes (``closure.canonical_forms``).
     The result is duplicate-free and sorted by ``encoding``.
 
-    Hard guards: max_size <= 6, ground <= 10, and, for each size, the
-    refinement expansion of the ordered enumeration (the product of Bell
-    numbers of the block sizes, summed over the distinct induced
-    partitions) is capped at ID_OF_OUTPUT_CAP in both modes; every size is
-    counted before any is expanded.  Exceeding the cap is an error, never a
-    truncation.
+    Hard guards, each counted before the work it bounds: max_size <= 6;
+    the partition scan's pair lookups, the sum over sizes k of
+    C(N, k) * C(k, 2) on N points, at most SEARCH_GUARD; and, for each
+    size, the refinement expansion of the ordered enumeration (the product
+    of Bell numbers of the block sizes, summed over the distinct induced
+    partitions) at most ID_OF_OUTPUT_CAP in both modes, every size before
+    any is expanded.  Exceeding a cap is an error, never a truncation.
     """
     found = [Identity(k, "pairs", frozenset(classes[i] for i in r))
              for k, classes, _, relations in _ordered_relations(c, max_size)
@@ -349,14 +346,15 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
         raise SizeGuardError(
             f"id_of supports max_size <= {ID_OF_MAX_SIZE}, got {max_size}"
         )
-    if c.n_ground > ID_OF_MAX_GROUND:
-        raise SizeGuardError(
-            f"id_of supports ground <= {ID_OF_MAX_GROUND}, got {c.n_ground}"
-        )
     if c.arity < 2:
         raise UsageError("id_of needs a pair layer in the coloring")
+    sizes = range(1, min(max_size, c.n_ground) + 1)
+    lookups = sum(math.comb(c.n_ground, k) * math.comb(k, 2) for k in sizes)
+    if lookups > SEARCH_GUARD:
+        raise SizeGuardError(f"the partition scan on {c.n_ground} points makes "
+                             f"{lookups} pair lookups, over SEARCH_GUARD ({SEARCH_GUARD})")
     induced = []  # every size is counted against the cap before any expands
-    for k in range(1, min(max_size, c.n_ground) + 1):
+    for k in sizes:
         kp = list(_pairs(k))
         partitions = set()
         for h in itertools.combinations(range(c.n_ground), k):

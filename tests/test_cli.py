@@ -188,6 +188,8 @@ def test_usage_errors_exit_2(tmp_path):
         {"n": -5, "arity": 2, "table": {}},
         {"n": 0, "arity": 2, "table": {}},
         {"builtin": "sierpinski_meet", "strings": []},
+        # no pair layer, whatever the ground size
+        {"n": 11, "arity": 1, "table": {}},
     )):
         col = tmp_path / f"bad_col{i}.json"
         col.write_text(json.dumps(desc))
@@ -238,7 +240,12 @@ def test_size_guards_exit_4(tmp_path):
     for size in ("8", "9"):
         proc = run("catalog", "--max-size", size, "--out", str(tmp_path / "x.json"))
         assert proc.returncode == 4 and "Traceback" not in proc.stderr
-    assert run("builtin", "--family", "sdoubleprime", "--n", "4").returncode == 4
+    # a ground of 2^len points is refused on the exponent, before any power
+    for argv in (("sdoubleprime", "--n", "4"), ("max-meet", "--len", "7"),
+                 ("max-meet", "--len", "1000000000000")):
+        proc = run("builtin", "--family", *argv)
+        assert proc.returncode == 4, argv
+        assert argv[-1] in proc.stderr and "Traceback" not in proc.stderr
 
     # ground sizes above the input bound are refused before any pair table
     big = tmp_path / "big.json"
@@ -331,6 +338,20 @@ def test_full_catalog_member_flow(tmp_path):
     # a pairs query against a full catalog is a usage error
     query.write_text(json.dumps(to_json(trivial(3))))
     assert run("member", "--catalog", str(cat), "--in", str(query)).returncode == 2
+
+
+@pytest.mark.parametrize("flavor", ["pairs", "full"])
+def test_catalog_written_entry_by_entry_is_pinned(tmp_path, flavor):
+    # the file goes out one entry at a time; its bytes and the report's
+    # inputs_digest are the pinned digest of the whole text
+    for n in range(1, 6):
+        out = tmp_path / f"{flavor}{n}.json"
+        argv = ["catalog", "--max-size", str(n), "--out", str(out), "--json"]
+        code, text = main_in_process(*argv, *(["--full"] if flavor == "full" else []))
+        assert code == 0
+        pinned = CATALOG_SHA256[flavor, n]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned, n
+        assert json.loads(text)["inputs_digest"] == pinned, n
 
 
 def test_member_negative_on_missing_pattern(tmp_path, cat6):

@@ -256,6 +256,19 @@ def test_restrict_rejects_empty_keep():
     for keep in (-1, -5, -64):
         with pytest.raises(UsageError, match=f"keep mask must be nonnegative, got {keep}"):
             restrict(s_k(3), keep)
+    # a bool is no mask and no element, and a float neither
+    for keep in (True, [True, 2], [1, True], [1.5], 1.0, None, "01"):
+        with pytest.raises(UsageError, match="keep must be an int mask or an iterable of ints"):
+            restrict(trivial(3), keep)
+
+
+def test_duplicate_rejects_bad_split_points():
+    for m in (-1, 4):
+        with pytest.raises(UsageError, match=f"split point m={m} out of range 0..3"):
+            duplicate(trivial(3), m)
+    for m in (True, 1.0, None):
+        with pytest.raises(UsageError, match="split point m must be an integer"):
+            duplicate(trivial(3), m)
 
 
 def test_catalog_counts(cat4, cat6):
@@ -455,6 +468,50 @@ def test_six_subset_sweep(cat6, cat6_index, family, absent_expected):
         if not member:
             assert r not in cat6_index
     assert absent == absent_expected
+
+
+# Each family member against catalog(6): the first 6-subset of its active
+# elements, in combinations order, whose restriction is no unordered
+# member, and how many subsets that order reaches it in.  Every earlier
+# subset is swept where that takes well under a second; the sweeps of
+# s_prime_n(6) and (7) take 1-4 s, so only their subset is pinned.
+SEPARATION = [
+    (s_prime_n, 2, (0, 1, 2, 4, 5, 6), 7, True),
+    (s_prime_n, 3, (0, 1, 3, 6, 7, 9), 303, True),
+    (s_prime_n, 4, (0, 1, 4, 8, 9, 12), 2_882, True),
+    (s_prime_n, 5, (0, 1, 5, 10, 11, 15), 14_873, True),
+    (s_prime_n, 6, (0, 1, 6, 12, 13, 18), 54_780, False),
+    (s_prime_n, 7, (0, 1, 7, 14, 15, 21), 162_382, False),
+    (s_doubleprime_n, 2, (0, 1, 2, 5, 7, 13), 7, True),
+    (s_doubleprime_n, 3, (0, 1, 2, 9, 11, 25), 1_658, True),
+]
+
+
+@pytest.mark.parametrize(
+    "make, n, first_absent, scanned, sweep", SEPARATION,
+    ids=[f"{make.__name__}_{n}" for make, n, *_ in SEPARATION],
+)
+def test_family_members_pass_the_criterion_yet_leave_catalog6(
+        cat6, make, n, first_absent, scanned, sweep):
+    # the paper's separation on every member: the order/rank criterion
+    # accepts it (audited), yet a 6-element restriction is outside catalog(6)
+    s = make(n)
+    verdict = check(s)
+    assert verdict.accepted
+    assert explain(verdict, s)["lines"][-1] == "independent re-verification passed"
+    earlier = list(itertools.islice(itertools.combinations(s.active_elements(), 6), scanned))
+    assert earlier.pop() == first_absent
+    assert not member_of_catalog(cat6, restrict(s, first_absent), ordered=False)
+    if sweep:
+        for keep in earlier:
+            assert member_of_catalog(cat6, restrict(s, keep), ordered=False), keep
+
+
+def test_degenerate_doubled_family_member_is_in_catalog6(cat6):
+    # s_doubleprime_n(1) stores no class: it is the trivial 6-point member
+    s = s_doubleprime_n(1)
+    assert not s.active_elements() and check(s).accepted
+    assert member_of_catalog(cat6, s, ordered=False)
 
 
 def relabeling_member(cat, s):

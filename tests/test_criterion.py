@@ -71,7 +71,7 @@ def test_trivial_accepted_with_increasing_order():
 
 
 def test_splitting_family_rejected_both_modes():
-    for k in (3, 4, 5, 6):
+    for k in range(3, 12):  # up to s_k(11), the largest within the ground bound
         assert not check(s_k(k)).accepted
         assert not check(s_k(k), strengthened=True).accepted
 

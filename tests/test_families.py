@@ -9,6 +9,7 @@ from identity_lab import (
     SimplifyError,
     SizeGuardError,
     UsageError,
+    check,
     from_json,
     identity_from_subsets,
     is_meet_respecting,
@@ -114,8 +115,9 @@ def test_s_doubleprime_frozen_value():
 def test_s_doubleprime_degenerate_and_guard():
     assert s_doubleprime_n(1).n == 6
     assert not s_doubleprime_n(1).classes
-    with pytest.raises(SizeGuardError):
-        s_doubleprime_n(4)
+    for n in (4, 10 ** 12):
+        with pytest.raises(SizeGuardError, match=f"s_doubleprime_n n={n} needs at least"):
+            s_doubleprime_n(n)
 
 
 def test_s_doubleprime_3_validates():
@@ -147,8 +149,14 @@ def test_max_meet_identity_is_meet_respecting():
 
 
 def test_max_meet_guard():
-    with pytest.raises(SizeGuardError):
-        max_meet_identity(5)
+    # decided on the exponent: 2^(10^12) is never built
+    for n_str in (7, 10 ** 12):
+        with pytest.raises(SizeGuardError, match=f"n_str={n_str} needs at least 2\\^{n_str} points"):
+            max_meet_identity(n_str)
+    for n_str in (5, 6):  # 32 and 64 points, within the ground bound
+        s = max_meet_identity(n_str)
+        assert s.base.n == 2 ** n_str and is_meet_respecting(s)
+        assert check(s.base).accepted
 
 
 def test_is_meet_respecting_detects_violations():

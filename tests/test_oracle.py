@@ -259,6 +259,10 @@ def test_sierpinski_meet_color_count():
     assert c.num_colors == 7
     # decode table inverts the dense ids
     assert set(c.meta["decode"]) == set(range(7))
+    # up to the ground bound: 2^len strings, 2^len - 1 colors
+    for length in (5, 6):
+        c = builtin_coloring("sierpinski_meet", len=length)
+        assert (c.n_ground, c.num_colors) == (2 ** length, 2 ** length - 1)
 
 
 def test_realizes_returns_lex_least_witness():
@@ -428,14 +432,27 @@ def test_id_of_guards():
     c = builtin_coloring("min_pair", n=5)
     with pytest.raises(SizeGuardError, match=r"max_size <= 6, got 7"):
         id_of(c, 7)
-    with pytest.raises(SizeGuardError, match=r"ground <= 10, got 11"):
-        id_of(builtin_coloring("min_pair", n=11), 3)
+    # the partition scan's pair lookups, sum of C(72, k) * C(k, 2) for
+    # k <= 4, are counted before it
+    with pytest.raises(SizeGuardError, match=r"makes 6354216 pair lookups, over SEARCH_GUARD"):
+        id_of(builtin_coloring("min_pair", n=72), 4)
     # one 15-pair block at size 6: Bell(15) refinements
     with pytest.raises(SizeGuardError, match=r"size 6 is 1382958545 .*cap 200000"):
         id_of(builtin_coloring("constant", n=6), 6)
-    strings = [format(i, "05b") for i in range(17)]
-    with pytest.raises(SizeGuardError, match=r"at most 16 strings, got 17"):
+    strings = [format(i, "07b") for i in range(73)]
+    with pytest.raises(SizeGuardError, match=r"ground size 73 exceeds the bound 72"):
         builtin_coloring("sierpinski_meet", strings=strings)
+    with pytest.raises(SizeGuardError, match=r"len=7 needs at least 2\^7 points"):
+        builtin_coloring("sierpinski_meet", len=7)
+
+
+def test_id_of_answers_grounds_within_the_scan_count():
+    # the scan count, not a ground size, decides which grounds answer
+    assert len(id_of(builtin_coloring("min_pair", n=12), 6, ordered=True)) == 7964
+    for n in (20, 30):
+        c = builtin_coloring("random", n=n, colors=3, seed=0)
+        assert len(id_of(c, 4, ordered=True)) == 210, n
+    assert len(id_of(builtin_coloring("min_pair", n=72), 3)) == 4
 
 
 def test_arrow_check_frozen_example():
