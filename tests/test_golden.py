@@ -1,0 +1,123 @@
+"""Golden digests: each answer pinned as the SHA-256 of its texts.
+
+A digest says that an answer changed; the reference searches in the other
+modules say what changed.  A change meant to alter an answer updates its
+pin here and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from identity_lab import SizeGuardError, coloring_from_json
+from identity_lab.oracle import _id_of_texts
+
+ID_OF_COLORINGS = {
+    "random9s0": {"builtin": "random", "n": 9, "colors": 3, "seed": 0},
+    "random9s1": {"builtin": "random", "n": 9, "colors": 3, "seed": 1},
+    "min_pair12": {"builtin": "min_pair", "n": 12},
+    "sierpinski4": {"builtin": "sierpinski_meet", "len": 4},
+    "constant6": {"builtin": "constant", "n": 6},
+    "random20": {"builtin": "random", "n": 20, "colors": 3, "seed": 0},
+}
+
+# (coloring, max_size, ordered) -> (identities, sha256 of the texts joined
+# by newlines), or None where a size guard refuses.  The unordered closure
+# of min_pair12 at max_size 6 and 7 takes seconds to minutes and is left out.
+ID_OF_SHA256 = {
+    ("random9s0", 1, True): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("random9s0", 2, True): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("random9s0", 3, True): (7, "61065db9069745ced16c2074ecf62ddd68b0c239aee313091d0e20b740cb38b2"),
+    ("random9s0", 4, True): (193, "bd6c4270e3018dfe4177f5bcff6a4d77512d2f7cdd195743d6d906e72a8e068f"),
+    ("random9s0", 5, True): (45421, "25df473d00a7102692ca3101bea67b29f216f2189a554157ba57cceff6e5a790"),
+    ("random9s0", 6, True): None,
+    ("random9s0", 7, True): None,
+    ("random9s0", 1, False): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("random9s0", 2, False): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("random9s0", 3, False): (5, "9fc11d9361dc15ba904c199838fc85e6f907034a682461e78b425a644dac91db"),
+    ("random9s0", 4, False): (29, "d75952c08a31ce99466428bca8f52b2efe26347634468ac4940edb09e2997590"),
+    ("random9s0", 5, False): (1279, "9a40bea41302984ee7d74f2be9e898d1d936aa16cdcbbcc78311d6d319bda3ad"),
+    ("random9s0", 6, False): None,
+    ("random9s0", 7, False): None,
+    ("random9s1", 1, True): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("random9s1", 2, True): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("random9s1", 3, True): (7, "61065db9069745ced16c2074ecf62ddd68b0c239aee313091d0e20b740cb38b2"),
+    ("random9s1", 4, True): (210, "856b6c80a784721b3d10d71392ac558f4433225a1ab46c638ccbc13a07fcd58a"),
+    ("random9s1", 5, True): (46693, "6feeac71ab0c57a3d666197e80a4e5e3e24cec853665415f760576f0851959f4"),
+    ("random9s1", 6, True): None,
+    ("random9s1", 7, True): None,
+    ("random9s1", 1, False): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("random9s1", 2, False): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("random9s1", 3, False): (5, "9fc11d9361dc15ba904c199838fc85e6f907034a682461e78b425a644dac91db"),
+    ("random9s1", 4, False): (30, "4cd7ff518b112c34d050f8cefd14924886eb9b434f135c6e1397cb385f71e74c"),
+    ("random9s1", 5, False): (1304, "ea2a6ee4c5645b4d6aea3358305351a2ccb1da903c36ec850599f3235e8e2233"),
+    ("random9s1", 6, False): None,
+    ("random9s1", 7, False): None,
+    ("min_pair12", 1, True): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("min_pair12", 2, True): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("min_pair12", 3, True): (4, "3ea3a87c49815196ba862ff5decbbf792c6d6a9244cafbce7ba8d11fc6df2cee"),
+    ("min_pair12", 4, True): (14, "09840666855fd9bdbca642d209d83df84be1969fac52a4680438e0895866aab5"),
+    ("min_pair12", 5, True): (164, "b2689631cec90a43dc65da244afd40f23492583daf0799e0536b095105bd3b2b"),
+    ("min_pair12", 6, True): (7964, "d0a71923f99b9b13228d83dfa6591adac79d40b7a5670102ef124de2705a94e0"),
+    ("min_pair12", 7, True): None,
+    ("min_pair12", 1, False): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("min_pair12", 2, False): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("min_pair12", 3, False): (4, "3ea3a87c49815196ba862ff5decbbf792c6d6a9244cafbce7ba8d11fc6df2cee"),
+    ("min_pair12", 4, False): (10, "0d937909d01c70979197ae06853bba6eb783328b1374f2371427eba07d9bb172"),
+    ("min_pair12", 5, False): (59, "41f478f2bd849ecd1d334c001559bad04427dcd35845b4b35271ca6bf91bdc51"),
+    ("sierpinski4", 1, True): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("sierpinski4", 2, True): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("sierpinski4", 3, True): (5, "ef695c90b6493da5302aa4dcbe7360bd9cc54c241b7b13ea892c974e33f168a6"),
+    ("sierpinski4", 4, True): (39, "e2a37f1584042f20d59d9b1ece300ea95c51f2f6c9ecdcf3a7d0b45374f17b7f"),
+    ("sierpinski4", 5, True): (1903, "0da5f62ab151b5452c1290bfd6a97b516d50ca123e659e7346e6a38f2c6aa061"),
+    ("sierpinski4", 6, True): None,
+    ("sierpinski4", 7, True): None,
+    ("sierpinski4", 1, False): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("sierpinski4", 2, False): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("sierpinski4", 3, False): (4, "3ea3a87c49815196ba862ff5decbbf792c6d6a9244cafbce7ba8d11fc6df2cee"),
+    ("sierpinski4", 4, False): (14, "45dbe64d44c9e05bd35b702e28d48d9be50fb95a90a451eb00a10ddc2296f28f"),
+    ("sierpinski4", 5, False): (158, "593b9e6dae0fb1e429752ae576752da806ef858a837d2a12c4d0217f26170bae"),
+    ("sierpinski4", 6, False): None,
+    ("sierpinski4", 7, False): None,
+    ("constant6", 1, True): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("constant6", 2, True): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("constant6", 3, True): (7, "61065db9069745ced16c2074ecf62ddd68b0c239aee313091d0e20b740cb38b2"),
+    ("constant6", 4, True): (210, "856b6c80a784721b3d10d71392ac558f4433225a1ab46c638ccbc13a07fcd58a"),
+    ("constant6", 5, True): (116185, "deca0883e0833d46014ce8d19105b958b74b6b4cb66d5c8cd59f59e35f52488c"),
+    ("constant6", 6, True): None,
+    ("constant6", 7, True): None,
+    ("constant6", 1, False): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("constant6", 2, False): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("constant6", 3, False): (5, "9fc11d9361dc15ba904c199838fc85e6f907034a682461e78b425a644dac91db"),
+    ("constant6", 4, False): (30, "4cd7ff518b112c34d050f8cefd14924886eb9b434f135c6e1397cb385f71e74c"),
+    ("constant6", 5, False): (1329, "b41b13a6d9af7f5b338f51094c9e29aa2ffe27d8b0c509886befb63c6341cab1"),
+    ("constant6", 6, False): None,
+    ("constant6", 7, False): None,
+    ("random20", 1, True): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("random20", 2, True): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("random20", 3, True): (7, "61065db9069745ced16c2074ecf62ddd68b0c239aee313091d0e20b740cb38b2"),
+    ("random20", 4, True): (210, "856b6c80a784721b3d10d71392ac558f4433225a1ab46c638ccbc13a07fcd58a"),
+    ("random20", 5, True): None,
+    ("random20", 6, True): None,
+    ("random20", 7, True): None,
+    ("random20", 1, False): (1, "56efbdc127e7c6e75756eb0532d35c261e9b06d1d7f26548b024b7daabe05fc0"),
+    ("random20", 2, False): (2, "2b7d3d0dbc10fa3b06a282c41beecb29a73719ec9243acd50565683b8b96e7b8"),
+    ("random20", 3, False): (5, "9fc11d9361dc15ba904c199838fc85e6f907034a682461e78b425a644dac91db"),
+    ("random20", 4, False): (30, "4cd7ff518b112c34d050f8cefd14924886eb9b434f135c6e1397cb385f71e74c"),
+    ("random20", 5, False): None,
+    ("random20", 6, False): None,
+    ("random20", 7, False): None,
+}
+
+
+@pytest.mark.parametrize("name,max_size,ordered", sorted(ID_OF_SHA256))
+def test_id_of_texts_are_pinned(name, max_size, ordered):
+    c = coloring_from_json(ID_OF_COLORINGS[name])
+    pinned = ID_OF_SHA256[name, max_size, ordered]
+    if pinned is None:
+        with pytest.raises(SizeGuardError):
+            _id_of_texts(c, max_size, ordered)
+        return
+    texts = _id_of_texts(c, max_size, ordered)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (len(texts), digest) == pinned
