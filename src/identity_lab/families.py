@@ -18,6 +18,7 @@ from .core import (
     check_ground,
     check_ground_exponent,
     elems_of,
+    identity_from_subsets,
     mask_of,
     permute_mask,
     validate,
@@ -41,15 +42,6 @@ def trivial_full(n: int) -> Identity:
     return Identity(n, "full", frozenset())
 
 
-def _two_class_identity(n: int, a_pairs, b_pairs) -> Identity:
-    classes = []
-    for pairs in (a_pairs, b_pairs):
-        masks = frozenset(mask_of(p) for p in pairs)
-        if len(masks) >= 2:  # single-pair classes are implicit singletons
-            classes.append(masks)
-    return Identity(n, "pairs", frozenset(classes))
-
-
 def s_k(k: int) -> Identity:
     """Two-class family on k + C(k,2) elements.
 
@@ -68,7 +60,7 @@ def s_k(k: int) -> Identity:
             w = k + l1 * (l1 - 1) // 2 + l0
             a.append((l0, w))
             b.append((l1, w))
-    return _two_class_identity(n, a, b)
+    return identity_from_subsets(n, "pairs", [a, b])
 
 
 def s_prime_n(n: int) -> Identity:
@@ -87,7 +79,7 @@ def s_prime_n(n: int) -> Identity:
             w = 2 * n + n * l0 + l1
             a.append((l0, w))
             b.append((n + l1, w))
-    return _two_class_identity(ground, a, b)
+    return identity_from_subsets(ground, "pairs", [a, b])
 
 
 def s_doubleprime_n(n: int) -> Identity:

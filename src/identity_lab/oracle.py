@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .closure import canonical_forms
+from .closure import GENERATION_BOUND, canonical_forms
 from .core import (
     SEARCH_GUARD,
     Identity,
@@ -35,7 +35,6 @@ from .core import (
 from .errors import SizeGuardError, UsageError
 from .families import meet
 
-ID_OF_MAX_SIZE = 6
 ID_OF_OUTPUT_CAP = 200_000
 
 
@@ -94,6 +93,13 @@ def _int_param(d: dict, name) -> int:
     if type(d[name]) is not int:
         raise UsageError(f"coloring value {name!r} is not an integer: {d[name]!r}")
     return d[name]
+
+
+def _check_int(value, name: str) -> None:
+    """Refuse a size that is not a plain int: bool is an int subclass that
+    would read as 0 or 1, and a float fails later with a TypeError."""
+    if type(value) is not int:
+        raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _table_key(text) -> tuple:
@@ -277,12 +283,16 @@ def realizes(c: Coloring, s: Identity, ordered: bool = False):
         h, ordered, tuple(col[h[a]][h[b]] for (a, b), *_ in classes))
 
 
+# Bell(0..15): a block of m pairs has Bell(m) refinements.  No block indexes
+# past the table: up to size 6 a block has at most C(6, 2) = 15 pairs.  At
+# size k >= 7 the points of a block of m pairs touch 2m pair ends, so one
+# point touches at most 2m/k of them, and dropping it leaves a (k-1)-subset
+# whose induced block keeps at least m(k-2)/k >= 5m/7 pairs.  A block of
+# 15 or more pairs at size k would thus follow one of 11 or more at size
+# k - 1, which the scan, going up by size, has already refused:
+# Bell(11) = 678,570 is over ID_OF_OUTPUT_CAP.
 _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
          4213597, 27644437, 190899322, 1382958545]
-
-
-def _refinement_count(blocks) -> int:
-    return math.prod(_BELL[len(b)] for b in blocks)
 
 
 def id_of(c: Coloring, max_size: int, ordered: bool = False):
@@ -300,14 +310,24 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     describe the same isomorphism classes (``closure.canonical_forms``).
     The result is duplicate-free and sorted by ``encoding``.
 
-    Hard guards, each counted before the work it bounds: max_size <= 6;
-    the partition scan's pair lookups, the sum over sizes k of
-    C(N, k) * C(k, 2) on N points, at most SEARCH_GUARD; and, for each
-    size, the refinement expansion of the ordered enumeration (the product
-    of Bell numbers of the block sizes, summed over the distinct induced
-    partitions) at most ID_OF_OUTPUT_CAP in both modes, every size before
-    any is expanded.  Exceeding a cap is an error, never a truncation.
+    Hard guards, each counted before the work it bounds: the partition
+    scan's pair lookups, the sum over sizes k of C(N, k) * C(k, 2) on N
+    points, at most SEARCH_GUARD; for each size, the refinement expansion
+    of the ordered enumeration (the product of Bell numbers of the block
+    sizes, charged as each distinct induced partition is found) at most
+    ID_OF_OUTPUT_CAP in both modes, every size before any is expanded;
+    and, unordered, identities of at most GENERATION_BOUND elements, the
+    bound of the relabeling tables, checked before the scan.  Exceeding a
+    cap is an error, never a truncation.
     """
+    if not ordered:
+        _check_int(max_size, "max_size")
+        if min(max_size, c.n_ground) > GENERATION_BOUND:
+            raise SizeGuardError(
+                f"unordered id_of relabels identities of at most "
+                f"{GENERATION_BOUND} elements, got max_size {max_size} on "
+                f"{c.n_ground} points"
+            )
     found = [Identity(k, "pairs", frozenset(classes[i] for i in r))
              for k, classes, _, relations in _ordered_relations(c, max_size)
              for r in relations]
@@ -340,12 +360,9 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
     increasing order, so ``encoding`` order.  The guards count every size
     before ``_walk_relations`` lists any.
     """
+    _check_int(max_size, "max_size")
     if max_size < 1:
         raise UsageError("max_size must be >= 1")
-    if max_size > ID_OF_MAX_SIZE:
-        raise SizeGuardError(
-            f"id_of supports max_size <= {ID_OF_MAX_SIZE}, got {max_size}"
-        )
     if c.arity < 2:
         raise UsageError("id_of needs a pair layer in the coloring")
     sizes = range(1, min(max_size, c.n_ground) + 1)
@@ -356,20 +373,26 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
     induced = []  # every size is counted against the cap before any expands
     for k in sizes:
         kp = list(_pairs(k))
-        partitions = set()
+        partitions, work = set(), 0
         for h in itertools.combinations(range(c.n_ground), k):
             by = {}
             for a, b in kp:
                 # h is increasing, so (h[a], h[b]) is already a sorted key
                 v = c.table[(h[a], h[b])]
                 by.setdefault(v, []).append((1 << a) | (1 << b))
-            partitions.add(frozenset(frozenset(v) for v in by.values()))
-        work = sum(_refinement_count(part) for part in partitions)
-        if work > ID_OF_OUTPUT_CAP:
-            raise SizeGuardError(
-                f"refinement expansion at size {k} is {work} identities, over "
-                f"the output cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
-            )
+            part = frozenset(frozenset(v) for v in by.values())
+            if part in partitions:
+                continue
+            partitions.add(part)
+            charge = math.prod(_BELL[len(b)] for b in part)
+            work += charge
+            if work > ID_OF_OUTPUT_CAP:
+                raise SizeGuardError(
+                    f"refinement expansion at size {k} reaches {work} "
+                    f"identities at distinct induced partition "
+                    f"{len(partitions)}, which adds {charge}, over the output "
+                    f"cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
+                )
         induced.append((k, partitions))
     return [(k, *_walk_relations(partitions)) for k, partitions in induced]
 
@@ -482,6 +505,8 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     triangle is False at N = 5 and True from 6 on; 3-colored, it is False
     up to 10 and refused at 11.  N is checked against GROUND_BOUND before
     the pair list and color table are built."""
+    _check_int(N, "N")
+    _check_int(num_colors, "num_colors")
     check_ground(N)
     if N < 1:
         raise UsageError(f"ground size must be positive, got {N}")

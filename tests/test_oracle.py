@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -428,22 +429,63 @@ def test_unordered_id_of_is_the_canonical_closure_at_size_5():
 
 
 def test_id_of_guards():
-    # each guard error states the measured size next to the limit
+    # each guard error states the measured size next to the limit; no
+    # limit on max_size itself: min_pair(5) has no identity above size 5
     c = builtin_coloring("min_pair", n=5)
-    with pytest.raises(SizeGuardError, match=r"max_size <= 6, got 7"):
-        id_of(c, 7)
+    assert id_of(c, 7) == id_of(c, 5)
+    assert id_of(c, 9, ordered=True) == id_of(c, 5, ordered=True)
     # the partition scan's pair lookups, sum of C(72, k) * C(k, 2) for
     # k <= 4, are counted before it
     with pytest.raises(SizeGuardError, match=r"makes 6354216 pair lookups, over SEARCH_GUARD"):
         id_of(builtin_coloring("min_pair", n=72), 4)
-    # one 15-pair block at size 6: Bell(15) refinements
-    with pytest.raises(SizeGuardError, match=r"size 6 is 1382958545 .*cap 200000"):
-        id_of(builtin_coloring("constant", n=6), 6)
+    # one 15-pair block at size 6: Bell(15) refinements, charged as the
+    # first partition is found; size 7 is never reached, so no 21-pair
+    # block indexes past the Bell table
+    for n, ordered in itertools.product((6, 7), (True, False)):
+        with pytest.raises(SizeGuardError, match=r"size 6 reaches 1382958545 .* partition 1, "
+                                                 r"which adds 1382958545, .*cap 200000"):
+            id_of(builtin_coloring("constant", n=n), n, ordered)
     strings = [format(i, "07b") for i in range(73)]
     with pytest.raises(SizeGuardError, match=r"ground size 73 exceeds the bound 72"):
         builtin_coloring("sierpinski_meet", strings=strings)
     with pytest.raises(SizeGuardError, match=r"len=7 needs at least 2\^7 points"):
         builtin_coloring("sierpinski_meet", len=7)
+
+
+def test_id_of_charges_each_partition_as_it_is_found():
+    # the refinement sum passes the cap within one partition's charge,
+    # long before the scan would finish (11,646,622 over every partition)
+    c = builtin_coloring("random", n=23, colors=15, seed=0)
+    with pytest.raises(SizeGuardError) as err:
+        id_of(c, 6, ordered=True)
+    work, charge = map(int, re.search(r"size 6 reaches (\d+) .*adds (\d+),", str(err.value)).groups())
+    assert work - charge <= oracle.ID_OF_OUTPUT_CAP < work < 11_646_622
+
+
+def test_id_of_answers_past_size_6_within_the_counts(monkeypatch):
+    c = builtin_coloring("random", n=9, colors=36, seed=0)
+    assert len(id_of(c, 7, ordered=True)) == 1443
+    assert len(id_of(c, 8, ordered=True)) == 4475
+    # unordered forms need the relabeling tables, so size 8 is refused
+    # before any scan starts
+    monkeypatch.setattr(oracle, "_ordered_relations", None)
+    with pytest.raises(SizeGuardError, match=r"at most 7 elements, got max_size 8 on 9 points"):
+        id_of(c, 8)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda c: id_of(c, 2.5), id="id_of-2.5"),
+    pytest.param(lambda c: id_of(c, 2.5, ordered=True), id="id_of-2.5-ordered"),
+    pytest.param(lambda c: id_of(c, True), id="id_of-True"),
+    pytest.param(lambda c: id_of(c, True, ordered=True), id="id_of-True-ordered"),
+    pytest.param(lambda c: arrow_check(5.0, TRIANGLE, 2), id="arrow-N-5.0"),
+    pytest.param(lambda c: arrow_check(5, TRIANGLE, 2.0), id="arrow-colors-2.0"),
+    pytest.param(lambda c: arrow_check(6, TRIANGLE, True), id="arrow-colors-True"),
+])
+def test_sizes_must_be_plain_integers(call):
+    # bool is an int subclass: True would read as size or palette 1
+    with pytest.raises(UsageError, match=r"must be an integer"):
+        call(builtin_coloring("min_pair", n=5))
 
 
 def test_id_of_answers_grounds_within_the_scan_count():
