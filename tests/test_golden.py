@@ -10,7 +10,25 @@ import hashlib
 import pytest
 
 from identity_lab import SizeGuardError, coloring_from_json
+from identity_lab.closure import generate_catalog
+from identity_lab.core import _dump, to_json
+from identity_lab.families import (
+    max_meet_identity,
+    order_forcing_extension,
+    s_doubleprime_n,
+    s_k,
+    s_prime_n,
+    simplify_k,
+    trivial,
+    trivial_full,
+)
 from identity_lab.oracle import _id_of_texts
+
+
+def _pin(texts) -> tuple:
+    """(count, SHA-256 of the texts joined by newlines)."""
+    return len(texts), hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
 
 ID_OF_COLORINGS = {
     "random9s0": {"builtin": "random", "n": 9, "colors": 3, "seed": 0},
@@ -118,6 +136,52 @@ def test_id_of_texts_are_pinned(name, max_size, ordered):
         with pytest.raises(SizeGuardError):
             _id_of_texts(c, max_size, ordered)
         return
-    texts = _id_of_texts(c, max_size, ordered)
-    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-    assert (len(texts), digest) == pinned
+    assert _pin(_id_of_texts(c, max_size, ordered)) == pinned
+
+
+# The family constructors and the transforms, over the inputs they answer
+
+def _max_meet_texts(n_str):
+    m = max_meet_identity(n_str)
+    return [_dump(to_json(m.base)), _dump(list(m.labels))]
+
+
+# family -> (sizes, the texts of one member)
+FAMILY_TEXTS = {
+    "trivial": (range(1, 9), lambda n: [_dump(to_json(trivial(n)))]),
+    "trivial_full": (range(1, 7), lambda n: [_dump(to_json(trivial_full(n)))]),
+    "s_k": (range(1, 12), lambda k: [_dump(to_json(s_k(k)))]),
+    "s_prime_n": (range(1, 8), lambda n: [_dump(to_json(s_prime_n(n)))]),
+    "s_doubleprime_n": (range(1, 4), lambda n: [_dump(to_json(s_doubleprime_n(n)))]),
+    "max_meet_identity": (range(1, 7), _max_meet_texts),
+}
+
+FAMILY_SHA256 = {
+    "max_meet_identity": (12, "66d9291abc782bfc5c782be1edf5313804a2775e9d9af01257884b86b28be41c"),
+    "s_doubleprime_n": (3, "24d263d4aca9052922cb33b97acdf4ff33cf57b096f17d5c2a7413105bcb1bfa"),
+    "s_k": (11, "32307a0ee4c1f5afa587c189703f7cc768dbc6844dc07bbef0781d951571a610"),
+    "s_prime_n": (7, "1d7813300f61e1c9770c1bb1407c7574567fa207bb35159798932e43cf8c417a"),
+    "trivial": (8, "81f9b1c0ff26d2110e5c9ccb43858a9f188e737031ed6eca36aa0d5ac440a645"),
+    "trivial_full": (6, "cede211e19b06e8dfc1cdae96a7aaf217c6fd6a526cae07ae4ecaca6bdae63b8"),
+}
+SIMPLIFY_K_SHA256 = (498, "8e69a66cbef5aac10be85dd7fa14403cd20062444e2d2dd2eab50c97654207f1")
+ORDER_FORCING_SHA256 = (165, "89b41d5e0f1cc4f18521fc7149abbfdb5b0bd35d525cf43202cbc489c3a22ea6")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_TEXTS))
+def test_family_texts_are_pinned(family):
+    sizes, texts_of = FAMILY_TEXTS[family]
+    texts = [t for size in sizes for t in texts_of(size)]
+    assert _pin(texts) == FAMILY_SHA256[family]
+
+
+def test_simplify_k_on_full_catalog5_is_pinned(full5):
+    texts = [_dump(to_json(simplify_k(s, k)))
+             for s in full5.members() for k in (1, 2, 3)]
+    assert _pin(texts) == SIMPLIFY_K_SHA256
+
+
+def test_order_forcing_extension_on_catalog5_is_pinned():
+    texts = [_dump(to_json(order_forcing_extension(s)))
+             for s in generate_catalog(5).members() if s.n >= 2]
+    assert _pin(texts) == ORDER_FORCING_SHA256
