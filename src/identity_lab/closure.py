@@ -41,14 +41,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .core import (
+    SEARCH_GUARD,
     Identity,
     _domain_masks,
     _dump,
+    check_size,
     elems_of,
     encoding,
     from_json,
@@ -80,11 +83,10 @@ def duplicate(s: Identity, m: int) -> Identity:
     rule to all subsets (a documented extrapolation used by the --full
     catalog).
     """
+    check_size(m, "split point m", 0)
     if s.flavor == "partial":
         raise UsageError("duplicate is defined for pairs and full flavors")
-    if type(m) is not int:  # a bool or a float is no split point
-        raise UsageError(f"split point m must be an integer, got {m!r}")
-    if not 0 <= m <= s.n:
+    if m > s.n:
         raise UsageError(f"split point m={m} out of range 0..{s.n}")
     n = s.n
     n2 = 2 * n - m
@@ -324,7 +326,8 @@ def canonical_forms(identities) -> list:
     key (``_relabeled_keys``) is removed from the rest, and its least key
     by ``_stored_slots`` is the key of ``canonical_form`` of each of them.
     Only that key becomes an ``Identity``.  Sizes are bounded by
-    GENERATION_BOUND, the bound of the relabeling tables.
+    GENERATION_BOUND, the bound of the relabeling tables, and the walks by
+    SEARCH_GUARD: each orbit's k! gathers are charged before it is walked.
     """
     by_size = {}
     for s in identities:
@@ -333,10 +336,17 @@ def canonical_forms(identities) -> list:
                 f"canonical_forms takes pairs identities, got {s.flavor!r}"
             )
         by_size.setdefault(s.n, set()).add(_slot_key(s))
-    forms, shared = [], {}
+    forms, shared, spent = [], {}, 0
     for n, keys in sorted(by_size.items()):
-        least = []
+        least, walk = [], math.factorial(n)
         while keys:
+            if spent + walk > SEARCH_GUARD:
+                raise SizeGuardError(
+                    f"canonical forms walked {len(forms) + len(least)} orbits in "
+                    f"{spent} gathers, and the next, at size {n}, would add {walk}, "
+                    f"over SEARCH_GUARD ({SEARCH_GUARD})"
+                )
+            spent += walk
             orbit = set(_relabeled_keys(keys.pop(), n, "pairs"))
             keys -= orbit
             least.append(min(orbit, key=_stored_slots))
@@ -358,10 +368,7 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     map, built once per size, and put through ``_renormalized``; only a
     key not seen before becomes an ``Identity``.
     """
-    if type(max_n) is not int:
-        raise UsageError(f"catalog max_n must be an integer, got {max_n!r}")
-    if max_n < 1:
-        raise UsageError(f"catalog bound must be >= 1, got {max_n}")
+    check_size(max_n, "catalog max_n")
     if max_n > GENERATION_BOUND:
         raise SizeGuardError(
             f"generate_catalog supports max_n <= {GENERATION_BOUND}, got {max_n}"
@@ -520,10 +527,9 @@ def catalog_from_json(d: dict) -> Catalog:
     if not isinstance(d, dict):
         raise UsageError("catalog JSON must be an object")
     max_n, flavor, raw = d.get("max_n"), d.get("flavor", "pairs"), d.get("entries")
-    if type(max_n) is not int or not 1 <= max_n <= GENERATION_BOUND:
-        raise UsageError(
-            f"catalog max_n must be an integer in 1..{GENERATION_BOUND}, got {max_n!r}"
-        )
+    check_size(max_n, "catalog max_n")
+    if max_n > GENERATION_BOUND:
+        raise UsageError(f"catalog max_n must be at most {GENERATION_BOUND}, got {max_n}")
     if flavor not in ("pairs", "full"):
         raise UsageError(f"catalog flavor must be pairs or full, got {flavor!r}")
     if not isinstance(raw, list):

@@ -41,6 +41,25 @@ SEARCH_GUARD = 1 << 21  # nodes one first_injection search (or budget) may visit
 GROUND_BOUND = 72
 
 
+def _size_error(value, name: str, least=1):
+    """The refusal of a size that is not a plain int of at least ``least``
+    (None: any int), or None for a size that is one.  bool is an int
+    subclass that would read as 0 or 1, and a float or a string would fail
+    later with a TypeError."""
+    if type(value) is int and (least is None or value >= least):
+        return None
+    bound = "" if least is None else f" >= {least}"
+    return f"{name} must be an integer{bound}, got {value!r}"
+
+
+def check_size(value, name: str, least=1) -> None:
+    """Refuse, with a UsageError naming ``name``, a size that is not a plain
+    int of at least ``least``: every public entry point's one check."""
+    msg = _size_error(value, name, least)
+    if msg is not None:
+        raise UsageError(msg)
+
+
 def check_ground(n: int) -> None:
     """Refuse a ground size above GROUND_BOUND with a size-guard error."""
     if n > GROUND_BOUND:
@@ -161,8 +180,9 @@ def validate(s: Identity):
     """
     if s.flavor not in FLAVORS:
         return f"unknown flavor {s.flavor!r}"
-    if s.n < 1:
-        return f"ground size must be positive, got {s.n}"
+    bad_n = _size_error(s.n, "identity n")
+    if bad_n is not None:
+        return bad_n
     if s.flavor == "partial":
         if s.domain is None:
             return "partial flavor requires an explicit domain"
@@ -448,8 +468,7 @@ def from_json(d: dict) -> Identity:
         dom = None if dom is None else list(dom)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"identity JSON malformed: {exc!r}") from exc
-    if type(n) is not int:
-        raise UsageError(f"identity n must be an integer, got {n!r}")
+    check_size(n, "identity n")
     check_ground(n)
     s = Identity(
         n,

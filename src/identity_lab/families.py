@@ -17,6 +17,7 @@ from .core import (
     _class_id_map,
     check_ground,
     check_ground_exponent,
+    check_size,
     elems_of,
     identity_from_subsets,
     mask_of,
@@ -28,16 +29,14 @@ from .errors import UsageError
 
 def trivial(n: int) -> Identity:
     """Pairs identity on 0..n-1 with every pair class a singleton."""
-    if n < 1:
-        raise UsageError(f"trivial needs n >= 1, got {n}")
+    check_size(n, "trivial n")
     check_ground(n)
     return Identity(n, "pairs", frozenset())
 
 
 def trivial_full(n: int) -> Identity:
     """Full-flavor identity on 0..n-1 with every subset class a singleton."""
-    if n < 1:
-        raise UsageError(f"trivial_full needs n >= 1, got {n}")
+    check_size(n, "trivial_full n")
     check_ground(n)
     return Identity(n, "full", frozenset())
 
@@ -50,8 +49,7 @@ def s_k(k: int) -> Identity:
     {l1, w}, over all such (l0, l1).  For k=2 both classes have one pair
     each and the stored class set is empty (singletons are implicit).
     """
-    if k < 1:
-        raise UsageError(f"s_k needs k >= 1, got {k}")
+    check_size(k, "s_k k")
     n = k + k * (k - 1) // 2
     check_ground(n)
     a, b = [], []
@@ -69,8 +67,7 @@ def s_prime_n(n: int) -> Identity:
     Witness element for (l0, l1) with l0, l1 < n is 2n + n*l0 + l1.  Class
     A joins {l0, w}; class B joins {n + l1, w}.
     """
-    if n < 1:
-        raise UsageError(f"s_prime_n needs n >= 1, got {n}")
+    check_size(n, "s_prime_n n")
     ground = 2 * n + n * n
     check_ground(ground)
     a, b = [], []
@@ -92,8 +89,7 @@ def s_doubleprime_n(n: int) -> Identity:
     string pairs whose strings extend eta+(0) and eta+(1) respectively.
     Classes with a single pair (all of them at m = n-1) remain implicit.
     """
-    if n < 1:
-        raise UsageError(f"s_doubleprime_n needs n >= 1, got {n}")
+    check_size(n, "s_doubleprime_n n")
     check_ground_exponent(2 * n, f"s_doubleprime_n n={n}")
     base = 1 << n
 
@@ -147,8 +143,7 @@ def max_meet_identity(n_str: int) -> LabeledIdentity:
     Ground elements are the 2^n_str strings in lexicographic order; two
     pairs are equivalent iff their longest common prefixes coincide.
     """
-    if n_str < 1:
-        raise UsageError(f"max_meet_identity needs n_str >= 1, got {n_str}")
+    check_size(n_str, "max_meet_identity n_str")
     check_ground_exponent(n_str, f"max_meet_identity n_str={n_str}")
     strings = ["".join(bits) for bits in itertools.product("01", repeat=n_str)]
     strings.sort()
@@ -192,10 +187,9 @@ def simplify_k(s: Identity, k: int) -> Identity:
     SimplifyError is raised if any pair fails; the audit never repairs
     anything silently.
     """
+    check_size(k, "simplify_k k")
     if s.flavor != "full":
         raise UsageError(f"simplify_k needs full flavor, got {s.flavor!r}")
-    if k < 1:
-        raise UsageError(f"simplify_k needs k >= 1, got {k}")
     ids = _class_id_map(s)
 
     def related(b: int, c: int) -> bool:

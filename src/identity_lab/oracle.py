@@ -28,6 +28,7 @@ from .core import (
     _dump,
     check_ground,
     check_ground_exponent,
+    check_size,
     elems_of,
     first_injection,
     to_json,
@@ -62,15 +63,13 @@ def _pairs(n: int):
 
 
 def _validate_coloring(c: Coloring):
-    if c.n_ground < 1:
-        raise UsageError(f"ground size must be positive, got {c.n_ground}")
-    if c.arity < 1 or c.arity > 2:
+    if c.arity > 2:
         raise UsageError(f"supported arities are 1 and 2, got {c.arity}")
     if c.arity >= 2:
         for p in _pairs(c.n_ground):
             if p not in c.table:
                 raise UsageError(f"coloring misses pair {p}")
-    for key, v in c.table.items():
+    for key in c.table:
         if not (
             len(key) == 1 and 0 <= key[0] < c.n_ground
             or len(key) == 2 and 0 <= key[0] < key[1] < c.n_ground
@@ -79,27 +78,15 @@ def _validate_coloring(c: Coloring):
                 f"table key {key} is neither an element nor an increasing "
                 f"pair of 0..{c.n_ground - 1}"
             )
-        if not 0 <= v < c.num_colors:
-            raise UsageError(
-                f"color {v} at {key} outside dense range 0..{c.num_colors - 1}"
-            )
 
 
-def _int_param(d: dict, name) -> int:
-    """d[name], which must be a JSON integer: int() would read 3.9, "3"
-    and true as some other coloring."""
+def _int_param(d: dict, name, least=1) -> int:
+    """d[name], which must be a JSON integer of at least ``least`` (any int
+    if None): int() would read 3.9, "3" and true as some other coloring."""
     if name not in d:
         raise UsageError(f"coloring needs {name!r}")
-    if type(d[name]) is not int:
-        raise UsageError(f"coloring value {name!r} is not an integer: {d[name]!r}")
+    check_size(d[name], f"coloring {name!r}", least)
     return d[name]
-
-
-def _check_int(value, name: str) -> None:
-    """Refuse a size that is not a plain int: bool is an int subclass that
-    would read as 0 or 1, and a float fails later with a TypeError."""
-    if type(value) is not int:
-        raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _table_key(text) -> tuple:
@@ -128,19 +115,15 @@ def builtin_coloring(kind: str, /, **params) -> Coloring:
     random(n, colors, seed): uniform per pair, reproducible; seed required.
     """
     if kind in ("min_pair", "constant", "random"):
-        n = _int_param(params, "n")
+        n = _int_param(params, "n", 1 if kind == "constant" else 2)
         check_ground(n)
     if kind == "min_pair":
-        if n < 2:
-            raise UsageError("min_pair needs n >= 2")
         table = {(i, j): i for i, j in _pairs(n)}
         return Coloring(n, 2, table, n - 1)
     if kind == "sierpinski_meet":
         strings = params.get("strings")
         if strings is None:
             length = _int_param(params, "len")
-            if length < 1:
-                raise UsageError("sierpinski_meet needs len >= 1")
             check_ground_exponent(length, f"sierpinski_meet len={length}")
             strings = ["".join(b) for b in itertools.product("01", repeat=length)]
         elif not isinstance(strings, (list, tuple)) or not all(
@@ -166,16 +149,12 @@ def builtin_coloring(kind: str, /, **params) -> Coloring:
             {"labels": strings},
         )
     if kind == "constant":
-        if n < 1:
-            raise UsageError("constant needs n >= 1")
         return Coloring(n, 2, {p: 0 for p in _pairs(n)}, 1)
     if kind == "random":
         if "seed" not in params:
             raise UsageError("random coloring requires an explicit seed")
         colors = _int_param(params, "colors")
-        if n < 2 or colors < 1:
-            raise UsageError("random needs n >= 2 and colors >= 1")
-        rng = random.Random(_int_param(params, "seed"))
+        rng = random.Random(_int_param(params, "seed", None))
         table = {p: rng.randrange(colors) for p in _pairs(n)}
         return Coloring(n, 2, table, colors)
     raise UsageError(f"unknown builtin coloring {kind!r}")
@@ -321,7 +300,7 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
     cap is an error, never a truncation.
     """
     if not ordered:
-        _check_int(max_size, "max_size")
+        check_size(max_size, "id_of max_size")
         if min(max_size, c.n_ground) > GENERATION_BOUND:
             raise SizeGuardError(
                 f"unordered id_of relabels identities of at most "
@@ -360,9 +339,7 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
     increasing order, so ``encoding`` order.  The guards count every size
     before ``_walk_relations`` lists any.
     """
-    _check_int(max_size, "max_size")
-    if max_size < 1:
-        raise UsageError("max_size must be >= 1")
+    check_size(max_size, "id_of max_size")
     if c.arity < 2:
         raise UsageError("id_of needs a pair layer in the coloring")
     sizes = range(1, min(max_size, c.n_ground) + 1)
@@ -505,13 +482,9 @@ def arrow_check(N: int, s: Identity, num_colors: int) -> bool:
     triangle is False at N = 5 and True from 6 on; 3-colored, it is False
     up to 10 and refused at 11.  N is checked against GROUND_BOUND before
     the pair list and color table are built."""
-    _check_int(N, "N")
-    _check_int(num_colors, "num_colors")
+    check_size(N, "arrow_check N")
+    check_size(num_colors, "arrow_check num_colors")
     check_ground(N)
-    if N < 1:
-        raise UsageError(f"ground size must be positive, got {N}")
-    if num_colors < 1:
-        raise UsageError("need at least one color")
     classes = _stored_pair_classes(s)
     if s.n > N:
         return False
@@ -578,7 +551,7 @@ def coloring_from_json(d: dict) -> Coloring:
     n, arity, table = _int_param(d, "n"), _int_param(d, "arity"), d.get("table")
     if not isinstance(table, dict):
         raise UsageError(f"coloring table must be an object, got {type(table).__name__}")
-    table = {_table_key(k): _int_param(table, k) for k in table}
+    table = {_table_key(k): _int_param(table, k, 0) for k in table}
     check_ground(n)
     num = max(table.values(), default=-1) + 1
     c = Coloring(n, arity, table, max(num, 1))

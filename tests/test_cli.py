@@ -200,13 +200,13 @@ def test_usage_errors_exit_2(tmp_path):
     col = tmp_path / "bad_col10.json"  # n = -5
     proc = run("oracle", "--coloring", str(col), "--list")
     assert proc.returncode == 2, col.read_text()
-    assert "ground size must be positive" in proc.stderr
+    assert "coloring 'n' must be an integer >= 1, got -5" in proc.stderr
     assert "Traceback" not in proc.stderr
     for n in ("0", "-3"):
         argv = ("arrow", "--n", n, "--identity", str(ident), "--colors", "2")
         proc = run(*argv)
         assert proc.returncode == 2, n
-        assert "ground size must be positive" in proc.stderr
+        assert f"arrow_check N must be an integer >= 1, got {n}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert main_in_process(*argv)[0] == 2, n
 

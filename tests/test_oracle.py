@@ -12,8 +12,13 @@ from identity_lab import (
     UsageError,
     arrow_check,
     builtin_coloring,
+    catalog_from_json,
+    check,
     coloring_from_json,
     coloring_to_json,
+    duplicate,
+    from_json,
+    generate_catalog,
     id_of,
     max_meet_identity,
     is_meet_respecting,
@@ -22,9 +27,14 @@ from identity_lab import (
     product_coloring,
     realizes,
     restrict,
+    s_doubleprime_n,
     s_k,
+    s_prime_n,
+    simplify_k,
     to_json,
     trivial,
+    trivial_full,
+    validate,
 )
 from identity_lab.core import (
     Identity,
@@ -35,7 +45,8 @@ from identity_lab.core import (
     identity_from_subsets,
     mask_of,
 )
-from identity_lab import oracle
+from identity_lab import closure, oracle
+from identity_lab.closure import canonical_forms
 from identity_lab.oracle import Coloring, Realization, _id_of_texts
 from test_core import reference_first_injection, shared_budget
 
@@ -462,6 +473,19 @@ def test_id_of_charges_each_partition_as_it_is_found():
     assert work - charge <= oracle.ID_OF_OUTPUT_CAP < work < 11_646_622
 
 
+def test_unordered_id_of_charges_each_orbit_walk(monkeypatch):
+    # sum over sizes k of forms_k * k! = 1 + 2 + 3 * 6 + 24 * 24 + 1250 * 120
+    c = builtin_coloring("random", n=9, colors=3, seed=0)
+    found = id_of(c, 5, ordered=True)
+    monkeypatch.setattr(closure, "SEARCH_GUARD", 150_597)
+    assert len(canonical_forms(found)) == 1279
+    monkeypatch.setattr(closure, "SEARCH_GUARD", 150_596)
+    with pytest.raises(SizeGuardError, match=r"walked 1278 orbits in 150477 gathers, and "
+                                             r"the next, at size 5, would add 120, over "
+                                             r"SEARCH_GUARD \(150596\)"):
+        canonical_forms(found)
+
+
 def test_id_of_answers_past_size_6_within_the_counts(monkeypatch):
     c = builtin_coloring("random", n=9, colors=36, seed=0)
     assert len(id_of(c, 7, ordered=True)) == 1443
@@ -473,19 +497,73 @@ def test_id_of_answers_past_size_6_within_the_counts(monkeypatch):
         id_of(c, 8)
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda c: id_of(c, 2.5), id="id_of-2.5"),
-    pytest.param(lambda c: id_of(c, 2.5, ordered=True), id="id_of-2.5-ordered"),
-    pytest.param(lambda c: id_of(c, True), id="id_of-True"),
-    pytest.param(lambda c: id_of(c, True, ordered=True), id="id_of-True-ordered"),
-    pytest.param(lambda c: arrow_check(5.0, TRIANGLE, 2), id="arrow-N-5.0"),
-    pytest.param(lambda c: arrow_check(5, TRIANGLE, 2.0), id="arrow-colors-2.0"),
-    pytest.param(lambda c: arrow_check(6, TRIANGLE, True), id="arrow-colors-True"),
+MIN_PAIR5 = builtin_coloring("min_pair", n=5)
+
+
+def _validated(n):
+    """Raise what ``validate`` says of the empty identity on n points."""
+    raise UsageError(validate(Identity(n, "pairs", frozenset())))
+
+
+# One row per public size: (id template, name in the message, call of one
+# size, least size, values that are not plain ints).  Each of those values,
+# and each of least - 1, 0 and -3 below least, is refused in one shape.
+SIZES = [
+    ("trivial-{}", "trivial n", trivial, 1, (3.0, "3", True)),
+    ("trivial_full-{}", "trivial_full n", trivial_full, 1, (2.0, True)),
+    ("s_k-{}", "s_k k", s_k, 1, (3.0, "3", True)),
+    ("s_prime_n-{}", "s_prime_n n", s_prime_n, 1, (2.0, True)),
+    ("s_doubleprime_n-{}", "s_doubleprime_n n", s_doubleprime_n, 1, (1.0, True)),
+    ("max_meet-{}", "max_meet_identity n_str", max_meet_identity, 1, (2.0, True)),
+    ("simplify_k-{}", "simplify_k k", lambda k: simplify_k(trivial_full(3), k), 1,
+     (1.5, True)),
+    ("generate_catalog-{}", "catalog max_n", generate_catalog, 1, (6.0, True)),
+    ("catalog_from_json-{}", "catalog max_n",
+     lambda n: catalog_from_json({"max_n": n, "entries": []}), 1, (6.0, True)),
+    ("duplicate-{}", "split point m", lambda m: duplicate(trivial(3), m), 0,
+     (1.0, True)),
+    ("from_json-{}", "identity n",
+     lambda n: from_json({"n": n, "flavor": "pairs", "classes": []}), 1, (3.0, True)),
+    ("validate-{}", "identity n", _validated, 1, (3.0, "3", True)),
+    ("check-{}", "identity n", lambda n: check(Identity(n, "pairs", frozenset())), 1,
+     (3.0, "3", True)),
+    ("min_pair-{}", "coloring 'n'", lambda n: builtin_coloring("min_pair", n=n), 2,
+     (4.0, True)),
+    ("constant-{}", "coloring 'n'", lambda n: builtin_coloring("constant", n=n), 1,
+     (4.0, True)),
+    ("random-n-{}", "coloring 'n'",
+     lambda n: builtin_coloring("random", n=n, colors=2, seed=0), 2, ("9", True)),
+    ("random-colors-{}", "coloring 'colors'",
+     lambda k: builtin_coloring("random", n=4, colors=k, seed=0), 1, (3.5, True)),
+    ("sierpinski-len-{}", "coloring 'len'",
+     lambda k: builtin_coloring("sierpinski_meet", len=k), 1, ("3", True)),
+    ("coloring-n-{}", "coloring 'n'",
+     lambda n: coloring_from_json({"n": n, "arity": 2, "table": {}}), 1, (3.9, True)),
+    ("coloring-arity-{}", "coloring 'arity'",
+     lambda a: coloring_from_json({"n": 2, "arity": a, "table": {"0,1": 0}}), 1,
+     (2.0, True)),
+    ("id_of-{}", "id_of max_size", lambda k: id_of(MIN_PAIR5, k), 1, (2.5, True)),
+    ("id_of-{}-ordered", "id_of max_size", lambda k: id_of(MIN_PAIR5, k, ordered=True),
+     1, (2.5, True)),
+    ("arrow-N-{}", "arrow_check N", lambda n: arrow_check(n, TRIANGLE, 2), 1,
+     (5.0, True)),
+    ("arrow-colors-{}", "arrow_check num_colors",
+     lambda k: arrow_check(5, TRIANGLE, k), 1, (2.0, True)),
+]
+
+
+@pytest.mark.parametrize("call,value,message", [
+    pytest.param(call, value, f"{name} must be an integer >= {least}, got {value!r}",
+                 id=template.format(repr(value)))
+    for template, name, call, least, others in SIZES
+    for value in others + tuple(sorted({least - 1, 0, -3} - {least}, reverse=True))
+    if not (type(value) is int and value >= least)
 ])
-def test_sizes_must_be_plain_integers(call):
-    # bool is an int subclass: True would read as size or palette 1
-    with pytest.raises(UsageError, match=r"must be an integer"):
-        call(builtin_coloring("min_pair", n=5))
+def test_sizes_must_be_plain_integers(call, value, message):
+    # bool is an int subclass: True would read as size or palette 1, and a
+    # float or a string would fail later with a TypeError
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def test_id_of_answers_grounds_within_the_scan_count():
@@ -536,7 +614,7 @@ def test_arrow_check_refuses_ground_above_the_bound():
     with pytest.raises(SizeGuardError, match=r"ground size 73 exceeds the bound 72"):
         arrow_check(73, triangle, 2)
     for n in (0, -3):
-        with pytest.raises(UsageError, match="ground size must be positive"):
+        with pytest.raises(UsageError, match=r"arrow_check N must be an integer >= 1"):
             arrow_check(n, triangle, 2)
 
 
