@@ -556,8 +556,8 @@ SIZES = [
     pytest.param(call, value, f"{name} must be an integer >= {least}, got {value!r}",
                  id=template.format(repr(value)))
     for template, name, call, least, others in SIZES
-    for value in others + tuple(sorted({least - 1, 0, -3} - {least}, reverse=True))
-    if not (type(value) is int and value >= least)
+    for value in others + tuple(v for v in sorted({least - 1, 0, -3}, reverse=True)
+                                if v < least)
 ])
 def test_sizes_must_be_plain_integers(call, value, message):
     # bool is an int subclass: True would read as size or palette 1, and a
