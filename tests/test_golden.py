@@ -6,11 +6,17 @@ pin here and says so.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from identity_lab import SizeGuardError, coloring_from_json
-from identity_lab.closure import generate_catalog
+from identity_lab.closure import (
+    canonical_forms,
+    generate_catalog,
+    member_of_catalog,
+    restrict,
+)
 from identity_lab.core import _dump, to_json
 from identity_lab.families import (
     max_meet_identity,
@@ -185,3 +191,24 @@ def test_order_forcing_extension_on_catalog5_is_pinned():
     texts = [_dump(to_json(order_forcing_extension(s)))
              for s in generate_catalog(5).members() if s.n >= 2]
     assert _pin(texts) == ORDER_FORCING_SHA256
+
+
+# The two unordered walks on slot keys, over catalog(6)
+
+CANONICAL_FORMS_SHA256 = (333, "f699e147e9ae5a9ff22351004d185e26ec5446337e5238f7aa561e9199ebf87a")
+# [kept elements, unordered member] for every 6-element restriction of
+# s_prime_n(3), in combinations order; 72 are absent
+S_PRIME_3_MEMBERS_SHA256 = (5005, "8af4ea0e91c6be7d4bfd08dfce6a3d2b18677fdeb2ec20299b87ddf9c9ac765f")
+
+
+def test_canonical_forms_of_catalog6_are_pinned(cat6):
+    texts = [_dump(to_json(f)) for f in canonical_forms(cat6.members())]
+    assert _pin(texts) == CANONICAL_FORMS_SHA256
+
+
+def test_unordered_members_among_s_prime_3_restrictions_are_pinned(cat6):
+    s = s_prime_n(3)
+    answers = [[list(keep), member_of_catalog(cat6, restrict(s, keep))]
+               for keep in itertools.combinations(range(s.n), 6)]
+    assert sum(not member for _, member in answers) == 72
+    assert _pin([_dump(a) for a in answers]) == S_PRIME_3_MEMBERS_SHA256
