@@ -27,9 +27,13 @@ order, keyed by first occurrence: byte i of the ``bytes`` key is the index
 of the first slot in its class, a key that is canonical per partition (a
 restricted growth string, Knuth, TAOCP 7.2.1.5).  Every step sends each
 child slot to one parent slot or to a fresh singleton, so it is a fixed
-slot map, built once per parent size; a child's key is the parent's key
-gathered through the map and put back in first-occurrence form by
-``_renormalized``.  Only a new key becomes an ``Identity``.
+slot map, one ``bytes`` object built once per parent size.  A child's key
+is ``slot_map.translate(labels)``, where ``labels`` is the parent's key
+and the fresh labels padded to 256 bytes: the C loop of translate sets
+byte i to ``labels[slot_map[i]]``, and every map byte indexes a real
+label, so the padding is never read.  ``_renormalized`` puts the
+result back in first-occurrence form.  Only a new key becomes an
+``Identity``.
 
 A relabeling is a slot map too: pi sends slot j's mask back to one slot of
 the original, so the orbit of a key is its gathers through one table per
@@ -42,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -57,12 +60,14 @@ from .core import (
     from_json,
     mask_of,
     permute_mask,
+    size_text,
     to_json,
 )
 from .errors import SizeGuardError, UsageError
 
-# catalog(7) has 204,794 entries and took 91 s and 194 MB peak RSS to
-# build on a 2-core host; extrapolated, size 8 would run for hours and exhaust memory.
+# catalog(7) has 204,794 entries and took 35 s and 194 MB peak RSS to
+# build on a 2-core host (67 s and 290 MB in the full flavor); extrapolated,
+# size 8 would run for hours and exhaust memory.
 # Up to this bound every slot label fits a byte: a key has at most 128
 # slots (full flavor, n = 7) and the fresh labels of a step stay below 256.
 GENERATION_BOUND = 7
@@ -87,7 +92,7 @@ def duplicate(s: Identity, m: int) -> Identity:
     if s.flavor == "partial":
         raise UsageError("duplicate is defined for pairs and full flavors")
     if m > s.n:
-        raise UsageError(f"split point m={m} out of range 0..{s.n}")
+        raise UsageError(f"split point m={size_text(m)} out of range 0..{s.n}")
     n = s.n
     n2 = 2 * n - m
     g = tuple(range(m)) + tuple(range(n, n2))
@@ -229,21 +234,14 @@ def _stored_slots(key: bytes) -> list:
     return sorted(classes.values())
 
 
-def _gather(idx):
-    """``operator.itemgetter(*idx)``, returning a tuple at every length:
-    itemgetter needs an index, and with one it returns a bare item."""
-    if len(idx) > 1:
-        return operator.itemgetter(*idx)
-    return lambda key, idx=tuple(idx): tuple(key[i] for i in idx)
-
-
 @functools.lru_cache(maxsize=None)
 def _relabel_gathers(n: int, flavor: str) -> tuple:
-    """One slot gather per permutation pi of 0..n-1, in
-    itertools.permutations order: a key gathered through pi's entry and
-    put through ``_renormalized`` is the key of ``core._relabel(s, pi)``,
-    since slot j of the relabeling reads the slot of pi^-1 of its mask.
-    Built once per size, for n <= GENERATION_BOUND only.
+    """One ``bytes`` slot map per permutation pi of 0..n-1, in
+    itertools.permutations order: byte j is the slot of pi^-1 of slot j's
+    mask, so a key gathered through pi's map (``translate`` of the padded
+    key) and put through ``_renormalized`` is the key of
+    ``core._relabel(s, pi)``.  Every byte indexes a slot.  Built once per
+    size, for n <= GENERATION_BOUND only.
     """
     if n > GENERATION_BOUND:
         raise SizeGuardError(
@@ -255,26 +253,30 @@ def _relabel_gathers(n: int, flavor: str) -> tuple:
         inverse = [0] * n
         for x, y in enumerate(pi):
             inverse[y] = x
-        gathers.append(_gather([index[permute_mask(b, inverse)] for b in index]))
+        gathers.append(bytes([index[permute_mask(b, inverse)] for b in index]))
     return tuple(gathers)
 
 
 def _relabeled_keys(key: bytes, n: int, flavor: str):
     """Walk the orbit of a size-n key: yield the key of each relabeling,
-    one per permutation in ``_relabel_gathers`` order."""
-    for gather in _relabel_gathers(n, flavor):
-        yield _renormalized(bytes(gather(key)))
+    one per permutation in ``_relabel_gathers`` order.  The key is padded
+    to a 256-byte table once per walk."""
+    labels = key.ljust(256, b"\0")
+    for slot_map in _relabel_gathers(n, flavor):
+        yield _renormalized(slot_map.translate(labels))
 
 
 def _generation_steps(n: int, max_n: int, flavor: str):
     """The generation steps out of size n, in enumeration order.
 
-    Returns ``(fresh, steps)`` with steps ``(trace, size, gather)``, each
-    trace ``(("dup", m), ("res", kept))`` with m < n.  Child slot c lifts
-    through ``kept`` to a mask M on the doubled ground, whose parent slot
-    is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a fresh
-    singleton.  ``gather(key + fresh)`` is the child's raw labels,
-    and ``fresh`` is ``bytes``.  A step whose slot map is the identity
+    Returns ``(fresh, steps)`` with steps ``(trace, size, slot_map)``,
+    each trace ``(("dup", m), ("res", kept))`` with m < n.  Child slot c
+    lifts through ``kept`` to a mask M on the doubled ground, whose parent
+    slot is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a
+    fresh singleton.  ``slot_map`` is ``bytes``, byte c the index of child
+    slot c's label in ``key + fresh`` (``fresh`` is ``bytes`` too), so
+    ``slot_map.translate((key + fresh).ljust(256, b"\0"))`` is the child's
+    raw labels.  A step whose slot map is the identity
     (its child is the parent) or repeats an earlier step's ``(size, map)``
     (its child is already seen) finds nothing and is left out.
     """
@@ -305,7 +307,7 @@ def _generation_steps(n: int, max_n: int, flavor: str):
             continue
         maps.add(step_map)
         width = max(width, fresh)
-        steps.append(((("dup", m), ("res", kept)), len(kept), _gather(idx)))
+        steps.append(((("dup", m), ("res", kept)), len(kept), bytes(idx)))
     return bytes(range(len(slots), width)), steps
 
 
@@ -364,14 +366,16 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     order (the order of a walk over all 3^(n-m) of them), and the first
     step to reach an identity gives its trace: minimal-depth and replayable
     through the two public operations.  Steps run on ``bytes`` slot keys:
-    the parent's first-occurrence key is gathered through the step's slot
-    map, built once per size, and put through ``_renormalized``; only a
-    key not seen before becomes an ``Identity``.
+    the parent's first-occurrence key and the fresh labels, padded to 256
+    bytes once per parent, are gathered through the step's ``bytes`` slot
+    map (one ``translate``), built once per size, and put through
+    ``_renormalized``; only a key not seen before becomes an ``Identity``.
     """
     check_size(max_n, "catalog max_n")
     if max_n > GENERATION_BOUND:
         raise SizeGuardError(
-            f"generate_catalog supports max_n <= {GENERATION_BOUND}, got {max_n}"
+            f"generate_catalog supports max_n <= {GENERATION_BOUND}, "
+            f"got {size_text(max_n)}"
         )
     if flavor not in ("pairs", "full"):
         raise UsageError(f"catalog flavor must be pairs or full, got {flavor!r}")
@@ -384,9 +388,9 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
         discovered = []
         for s, key in sorted(frontier, key=lambda item: encoding(item[0])):
             fresh, steps = table[s.n]
-            padded, base = key + fresh, entries[s].trace
-            for trace, n, gather in steps:
-                child = _renormalized(bytes(gather(padded)))
+            labels, base = (key + fresh).ljust(256, b"\0"), entries[s].trace
+            for trace, n, slot_map in steps:
+                child = _renormalized(slot_map.translate(labels))
                 if child not in seen:
                     seen.add(child)
                     t = _identity_of(child, n, flavor, shared)
@@ -529,7 +533,9 @@ def catalog_from_json(d: dict) -> Catalog:
     max_n, flavor, raw = d.get("max_n"), d.get("flavor", "pairs"), d.get("entries")
     check_size(max_n, "catalog max_n")
     if max_n > GENERATION_BOUND:
-        raise UsageError(f"catalog max_n must be at most {GENERATION_BOUND}, got {max_n}")
+        raise UsageError(
+            f"catalog max_n must be at most {GENERATION_BOUND}, got {size_text(max_n)}"
+        )
     if flavor not in ("pairs", "full"):
         raise UsageError(f"catalog flavor must be pairs or full, got {flavor!r}")
     if not isinstance(raw, list):

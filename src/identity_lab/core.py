@@ -41,6 +41,17 @@ SEARCH_GUARD = 1 << 21  # nodes one first_injection search (or budget) may visit
 GROUND_BOUND = 72
 
 
+def size_text(value) -> str:
+    """A size as a message shows it: its ``repr``, or its sign and bit
+    length for an int too long for Python to render in decimal (more than
+    4,300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
 def _size_error(value, name: str, least=1):
     """The refusal of a size that is not a plain int of at least ``least``
     (None: any int), or None for a size that is one.  bool is an int
@@ -49,7 +60,7 @@ def _size_error(value, name: str, least=1):
     if type(value) is int and (least is None or value >= least):
         return None
     bound = "" if least is None else f" >= {least}"
-    return f"{name} must be an integer{bound}, got {value!r}"
+    return f"{name} must be an integer{bound}, got {size_text(value)}"
 
 
 def check_size(value, name: str, least=1) -> None:
@@ -64,7 +75,7 @@ def check_ground(n: int) -> None:
     """Refuse a ground size above GROUND_BOUND with a size-guard error."""
     if n > GROUND_BOUND:
         raise SizeGuardError(
-            f"ground size {n} exceeds the bound {GROUND_BOUND}"
+            f"ground size {size_text(n)} exceeds the bound {GROUND_BOUND}"
         )
 
 
@@ -76,7 +87,7 @@ def check_ground_exponent(exponent: int, what: str) -> None:
     """
     if exponent >= GROUND_BOUND.bit_length():
         raise SizeGuardError(
-            f"{what} needs at least 2^{exponent} points, over the ground "
+            f"{what} needs at least 2^{size_text(exponent)} points, over the ground "
             f"bound {GROUND_BOUND}"
         )
 

@@ -22,6 +22,7 @@ from .core import (
     identity_from_subsets,
     mask_of,
     permute_mask,
+    size_text,
     validate,
 )
 from .errors import UsageError
@@ -90,7 +91,7 @@ def s_doubleprime_n(n: int) -> Identity:
     Classes with a single pair (all of them at m = n-1) remain implicit.
     """
     check_size(n, "s_doubleprime_n n")
-    check_ground_exponent(2 * n, f"s_doubleprime_n n={n}")
+    check_ground_exponent(2 * n, f"s_doubleprime_n n={size_text(n)}")
     base = 1 << n
 
     def value(bits) -> int:
@@ -144,7 +145,7 @@ def max_meet_identity(n_str: int) -> LabeledIdentity:
     pairs are equivalent iff their longest common prefixes coincide.
     """
     check_size(n_str, "max_meet_identity n_str")
-    check_ground_exponent(n_str, f"max_meet_identity n_str={n_str}")
+    check_ground_exponent(n_str, f"max_meet_identity n_str={size_text(n_str)}")
     strings = ["".join(bits) for bits in itertools.product("01", repeat=n_str)]
     strings.sort()
     groups = {}

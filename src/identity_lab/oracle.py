@@ -31,6 +31,7 @@ from .core import (
     check_size,
     elems_of,
     first_injection,
+    size_text,
     to_json,
 )
 from .errors import SizeGuardError, UsageError
@@ -64,7 +65,7 @@ def _pairs(n: int):
 
 def _validate_coloring(c: Coloring):
     if c.arity > 2:
-        raise UsageError(f"supported arities are 1 and 2, got {c.arity}")
+        raise UsageError(f"supported arities are 1 and 2, got {size_text(c.arity)}")
     if c.arity >= 2:
         for p in _pairs(c.n_ground):
             if p not in c.table:
@@ -124,7 +125,7 @@ def builtin_coloring(kind: str, /, **params) -> Coloring:
         strings = params.get("strings")
         if strings is None:
             length = _int_param(params, "len")
-            check_ground_exponent(length, f"sierpinski_meet len={length}")
+            check_ground_exponent(length, f"sierpinski_meet len={size_text(length)}")
             strings = ["".join(b) for b in itertools.product("01", repeat=length)]
         elif not isinstance(strings, (list, tuple)) or not all(
             isinstance(x, str) for x in strings

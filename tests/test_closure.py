@@ -330,14 +330,26 @@ def test_generation_steps_equal_duplicate_then_restrict(cat4, flavor, max_n):
     members = cat4 if flavor == "pairs" else generate_catalog(4, "full")
     for s in members.members():
         fresh, steps = _generation_steps(s.n, max_n, flavor)
-        for trace, size, gather in steps:
+        labels = slot_key(s) + fresh
+        for trace, size, slot_map in steps:
+            # each map byte names a parent slot or a fresh label
+            assert type(slot_map) is bytes and all(i < len(labels) for i in slot_map)
             want = s
             for op, arg in trace:
                 want = duplicate(want, arg) if op == "dup" else restrict(want, arg)
-            raw = gather(slot_key(s) + fresh)
+            raw = bytes(labels[i] for i in slot_map)
             key = bytes(map(raw.index, raw))
             assert size == want.n and key == slot_key(want), (s, trace)
             assert _identity_of(key, size, flavor, {}) == want, (s, trace)
+
+
+@given(st.data())
+def test_slot_map_translate_is_a_gather(data):
+    # the gather of the BFS and the orbit walks: a map whose bytes index
+    # the key never reads the padding
+    k = data.draw(st.binary(min_size=1, max_size=256))
+    m = bytes(data.draw(st.lists(st.integers(0, len(k) - 1), max_size=256)))
+    assert m.translate(k.ljust(256, b"\0")) == bytes(k[i] for i in m)
 
 
 @given(st.lists(st.integers(0, 255), max_size=255))
@@ -365,9 +377,11 @@ def test_generation_steps_skip_maps_that_find_nothing(flavor):
     for n in range(1, 7):
         fresh, steps = _generation_steps(n, 6, flavor)
         width = len(_domain_masks(Identity(n, flavor, frozenset())))
-        labels = tuple(range(width + len(fresh)))
-        maps = [(size, gather(labels)) for _, size, gather in steps]
-        assert (n, labels[:width]) not in maps
+        maps = [(size, slot_map) for _, size, slot_map in steps]
+        for _, slot_map in maps:
+            assert type(slot_map) is bytes
+            assert all(i < width + len(fresh) for i in slot_map), (n, slot_map)
+        assert (n, bytes(range(width))) not in maps
         assert len(set(maps)) == len(maps)
         for trace, _, _ in steps:
             (dup, m), (res, kept) = trace
@@ -570,11 +584,14 @@ def test_relabel_gathers_are_the_slot_form_of_relabel(cat6, full5, n, flavor):
     gathers = _relabel_gathers(n, flavor)
     perms = list(itertools.permutations(range(n)))
     assert len(gathers) == len(perms)
-    for pi, gather in zip(perms, gathers):
-        raw = gather(tuple(range(len(slots))))
-        assert type(raw) is tuple and len(raw) == len(slots)
+    for pi, slot_map in zip(perms, gathers):
+        # a relabeling permutes the slots, so each map byte names a slot
+        assert type(slot_map) is bytes and len(slot_map) == len(slots)
+        assert all(i < len(slots) for i in slot_map)
+        assert sorted(slot_map) == list(range(len(slots)))
         for s in sample:
-            raw = gather(slot_key(s))
+            key = slot_key(s)
+            raw = bytes(key[i] for i in slot_map)
             assert bytes(map(raw.index, raw)) == slot_key(_relabel(s, pi)), (pi, to_json(s))
 
 

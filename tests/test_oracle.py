@@ -566,6 +566,32 @@ def test_sizes_must_be_plain_integers(call, value, message):
         call(value)
 
 
+HUGE = 10**5000  # past Python's default 4,300-digit limit for str(int)
+
+
+@pytest.mark.parametrize("call,error,shown", [
+    pytest.param(lambda: trivial(HUGE), SizeGuardError, "an", id="trivial"),
+    pytest.param(lambda: trivial(-HUGE), UsageError, "a negative", id="trivial-negative"),
+    pytest.param(lambda: s_k(HUGE), SizeGuardError, "an", id="s_k"),
+    pytest.param(lambda: s_prime_n(HUGE), SizeGuardError, "an", id="s_prime_n"),
+    pytest.param(lambda: max_meet_identity(HUGE), SizeGuardError, "an", id="max_meet"),
+    pytest.param(lambda: generate_catalog(HUGE), SizeGuardError, "an", id="catalog"),
+    pytest.param(lambda: catalog_from_json({"max_n": HUGE, "entries": []}), UsageError,
+                 "an", id="catalog_from_json"),
+    pytest.param(lambda: duplicate(trivial(2), HUGE), UsageError, "an", id="duplicate"),
+    pytest.param(lambda: from_json({"n": HUGE, "flavor": "pairs", "classes": []}),
+                 SizeGuardError, "an", id="from_json"),
+    pytest.param(lambda: builtin_coloring("min_pair", n=HUGE), SizeGuardError, "an",
+                 id="min_pair"),
+    pytest.param(lambda: arrow_check(HUGE, TRIANGLE, 2), SizeGuardError, "an", id="arrow"),
+])
+def test_huge_sizes_are_refused_by_their_bit_length(call, error, shown):
+    # str() of HUGE raises ValueError, so a refusal that printed the size
+    # would crash in its own message; s_k and s_prime_n name their ground
+    with pytest.raises(error, match=f"{shown} integer of [0-9]+ bits"):
+        call()
+
+
 def test_id_of_answers_grounds_within_the_scan_count():
     # the scan count, not a ground size, decides which grounds answer
     assert len(id_of(builtin_coloring("min_pair", n=12), 6, ordered=True)) == 7964
