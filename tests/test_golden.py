@@ -7,17 +7,26 @@ pin here and says so.
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from identity_lab import SizeGuardError, coloring_from_json
+from identity_lab import SizeGuardError, UsageError, check, coloring_from_json, explain
+from identity_lab.cli import _verdict_json
 from identity_lab.closure import (
     canonical_forms,
     generate_catalog,
     member_of_catalog,
     restrict,
 )
-from identity_lab.core import _dump, to_json
+from identity_lab.core import (
+    Identity,
+    _dump,
+    all_pair_masks,
+    canonical_form,
+    permute,
+    to_json,
+)
 from identity_lab.families import (
     max_meet_identity,
     order_forcing_extension,
@@ -212,3 +221,66 @@ def test_unordered_members_among_s_prime_3_restrictions_are_pinned(cat6):
                for keep in itertools.combinations(range(s.n), 6)]
     assert sum(not member for _, member in answers) == 72
     assert _pin([_dump(a) for a in answers]) == S_PRIME_3_MEMBERS_SHA256
+
+
+# canonical_form, form and witness, over catalog(5), relabeled entries and
+# seeded pairs identities of 6 and 7 points
+
+def _random_pairs_identity(rng, n):
+    """A seeded pairs identity: the C(n,2) pairs fall into about half as
+    many groups as there are pairs."""
+    groups = {}
+    for b in all_pair_masks(n):
+        groups.setdefault(rng.randrange(n * (n - 1) // 4 + 1), []).append(b)
+    return Identity(n, "pairs", frozenset(frozenset(g) for g in groups.values() if len(g) >= 2))
+
+
+def _canonical_form_inputs(cat5):
+    rng = random.Random(28)
+    entries = cat5.members()
+    relabeled = []
+    for s in entries:
+        pi = list(range(s.n))
+        rng.shuffle(pi)
+        relabeled.append(permute(s, pi))
+    seeded = [_random_pairs_identity(rng, 6) for _ in range(100)]
+    seeded += [_random_pairs_identity(rng, 7) for _ in range(10)]
+    return entries + relabeled + seeded
+
+
+CANONICAL_FORM_SHA256 = (442, "923c70b64804f9a14639e62f3cf42adabf5be201feb551363d3a7a4622257989")
+
+
+def test_canonical_form_and_witness_are_pinned():
+    texts = []
+    for s in _canonical_form_inputs(generate_catalog(5)):
+        form, pi = canonical_form(s)
+        texts.append(_dump([to_json(form), list(pi)]))
+    assert _pin(texts) == CANONICAL_FORM_SHA256
+
+
+# check verdicts and explain output, over catalog(6) and the splitting
+# families; a refusal is pinned as its exception's name
+
+def _check_texts(s) -> list:
+    try:
+        verdict = check(s)
+        return [_dump(_verdict_json(verdict)), _dump(explain(verdict, s))]
+    except (SizeGuardError, UsageError) as exc:
+        return [type(exc).__name__]
+
+
+CHECK_CATALOG6_SHA256 = (8524, "5880da7be285806c5ef11fe1cad83d97e8a45b2c55585b3cc9d304787c7017de")
+CHECK_FAMILIES_SHA256 = (26, "3cabbb6359184b1d46b1f02187befce118b8f19ad0c3d4a6ac676b260c1ae394")
+
+
+def test_check_and_explain_on_catalog6_are_pinned(cat6):
+    texts = [t for s in cat6.members() for t in _check_texts(s)]
+    assert _pin(texts) == CHECK_CATALOG6_SHA256
+
+
+def test_check_and_explain_on_families_are_pinned():
+    members = ([s_k(k) for k in range(1, 7)] + [s_prime_n(n) for n in range(1, 5)]
+               + [s_doubleprime_n(n) for n in range(1, 4)])
+    texts = [t for s in members for t in _check_texts(s)]
+    assert _pin(texts) == CHECK_FAMILIES_SHA256
