@@ -54,6 +54,7 @@ from .core import (
     Identity,
     _domain_masks,
     _dump,
+    check_ground,
     check_size,
     elems_of,
     encoding,
@@ -89,6 +90,7 @@ def duplicate(s: Identity, m: int) -> Identity:
     catalog).
     """
     check_size(m, "split point m", 0)
+    check_ground(s.n)
     if s.flavor == "partial":
         raise UsageError("duplicate is defined for pairs and full flavors")
     if m > s.n:
@@ -121,19 +123,21 @@ def restrict(s: Identity, keep) -> Identity:
     """
     if type(keep) is int:
         if keep < 0:
-            raise UsageError(f"keep mask must be nonnegative, got {keep}")
+            raise UsageError(f"keep mask must be nonnegative, got {size_text(keep)}")
         kept = elems_of(keep)
     else:
         kept = tuple(keep) if isinstance(keep, Iterable) else None
         if kept is None or any(type(x) is not int for x in kept):
             raise UsageError(
-                f"keep must be an int mask or an iterable of ints, got {keep!r}"
+                f"keep must be an int mask or an iterable of ints, got {size_text(keep)}"
             )
         kept = tuple(sorted(set(kept)))
     if not kept:
         raise UsageError("restriction needs a nonempty keep set")
     if kept[0] < 0 or kept[-1] >= s.n:
-        raise UsageError(f"keep set {kept} exceeds ground set 0..{s.n - 1}")
+        raise UsageError(
+            f"keep set {size_text(kept)} exceeds ground set 0..{size_text(s.n - 1)}"
+        )
     kmask = mask_of(kept)
     relab = {x: i for i, x in enumerate(kept)}
     classes = []
@@ -191,15 +195,11 @@ class Catalog:
         return list(self.entries)
 
 
-def _slots(n: int, flavor: str) -> list:
-    """The slots of a size-n identity: its domain masks, in order."""
-    return _domain_masks(Identity(n, flavor, frozenset()))
-
-
 @functools.lru_cache(maxsize=None)
 def _slot_index(n: int, flavor: str) -> dict:
-    """Slot number of each domain mask of a size-n identity, in slot order."""
-    return {b: i for i, b in enumerate(_slots(n, flavor))}
+    """Slot number of each domain mask of a size-n identity; its keys are
+    the slots, in slot order."""
+    return {b: i for i, b in enumerate(_domain_masks(Identity(n, flavor, frozenset())))}
 
 
 def _slot_key(s: Identity) -> bytes:
@@ -280,7 +280,7 @@ def _generation_steps(n: int, max_n: int, flavor: str):
     (its child is the parent) or repeats an earlier step's ``(size, map)``
     (its child is already seen) finds nothing and is left out.
     """
-    slots, index = _slots(n, flavor), _slot_index(n, flavor)
+    index = _slot_index(n, flavor)
     fates = (0, 2) if n == max_n else (0, 1, 2)
     splits = []
     for m in range(n):
@@ -289,11 +289,11 @@ def _generation_steps(n: int, max_n: int, flavor: str):
                 splits.append((m, tuple(
                     [x for x in range(n) if x < m or fate[x - m] != 2]
                     + [n + i for i, f in enumerate(fate) if f])))
-    steps, width = [], len(slots)
-    maps = {(n, tuple(range(len(slots))))}
+    steps, width = [], len(index)
+    maps = {(n, tuple(range(len(index))))}
     for m, kept in splits:
-        idx, fresh = [], len(slots)
-        for c in _slots(len(kept), flavor):
+        idx, fresh = [], len(index)
+        for c in _slot_index(len(kept), flavor):
             M = permute_mask(c, kept)
             if M >> n == 0:
                 idx.append(index[M])
@@ -308,13 +308,13 @@ def _generation_steps(n: int, max_n: int, flavor: str):
         maps.add(step_map)
         width = max(width, fresh)
         steps.append(((("dup", m), ("res", kept)), len(kept), bytes(idx)))
-    return bytes(range(len(slots), width)), steps
+    return bytes(range(len(index), width)), steps
 
 
 def _identity_of(key: bytes, n: int, flavor: str, shared: dict) -> Identity:
     """Size-n identity with slot labels ``key``; classes interned in ``shared``."""
     groups = {}
-    for b, label in zip(_slots(n, flavor), key):
+    for b, label in zip(_slot_index(n, flavor), key):
         groups.setdefault(label, []).append(b)
     classes = (frozenset(g) for g in groups.values() if len(g) >= 2)
     return Identity(n, flavor, frozenset(shared.setdefault(c, c) for c in classes))
@@ -382,7 +382,7 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     table = {n: _generation_steps(n, max_n, flavor) for n in range(1, max_n + 1)}
     root = Identity(1, flavor, frozenset())
     entries = {root: CatalogEntry(root, ())}
-    key = bytes(range(len(_slots(1, flavor))))  # every slot in its own class
+    key = bytes(range(len(_slot_index(1, flavor))))  # every slot in its own class
     frontier, seen, shared = [(root, key)], {key}, {}
     while frontier:
         discovered = []
@@ -428,7 +428,7 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
     """
     if s.n > cat.max_n:
         raise SizeGuardError(
-            f"query size {s.n} exceeds catalog bound {cat.max_n}"
+            f"query size {size_text(s.n)} exceeds catalog bound {cat.max_n}"
         )
     if s.flavor != cat.flavor:
         raise UsageError(

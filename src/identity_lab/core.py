@@ -42,12 +42,17 @@ GROUND_BOUND = 72
 
 
 def size_text(value) -> str:
-    """A size as a message shows it: its ``repr``, or its sign and bit
-    length for an int too long for Python to render in decimal (more than
-    4,300 digits by default)."""
+    """A value as a message shows it: its ``repr``, or, where Python cannot
+    render an int in decimal (more than 4,300 digits by default), that
+    int's sign and bit length; a list or tuple shows its items so."""
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, (list, tuple)):
+            items = ", ".join(map(size_text, value))
+            if isinstance(value, list):
+                return f"[{items}]"
+            return f"({items}{',' if len(value) == 1 else ''})"
         sign = "a negative" if value < 0 else "an"
         return f"{sign} integer of {value.bit_length()} bits"
 
@@ -177,7 +182,7 @@ def _domain_masks(s: Identity) -> list:
     if s.flavor == "full":
         if s.n > CANONICAL_BOUND:
             raise SizeGuardError(
-                f"full-flavor domain supports n <= {CANONICAL_BOUND}, got {s.n}"
+                f"full-flavor domain supports n <= {CANONICAL_BOUND}, got {size_text(s.n)}"
             )
         return list(range(1 << s.n))
     return sorted(s.domain, key=elems_of)
@@ -226,9 +231,12 @@ def validate(s: Identity):
 
 
 def _check_valid(s: Identity):
+    """Refuse a malformed identity (UsageError) or one whose ground is
+    above GROUND_BOUND (SizeGuardError), as ``from_json`` does."""
     msg = validate(s)
     if msg is not None:
         raise UsageError(msg)
+    check_ground(s.n)
 
 
 @dataclass(frozen=True)
@@ -261,8 +269,10 @@ def permute_mask(mask: int, image) -> int:
 def permute(s: Identity, pi) -> Identity:
     """Relabel every subset through the permutation pi of 0..n-1."""
     pi = tuple(pi)
-    if sorted(pi) != list(range(s.n)):
-        raise UsageError(f"permutation {pi} does not act on 0..{s.n - 1}")
+    if len(pi) != s.n or sorted(pi) != list(range(s.n)):
+        raise UsageError(
+            f"permutation {size_text(pi)} does not act on 0..{size_text(s.n - 1)}"
+        )
     return _relabel(s, pi)
 
 
@@ -291,33 +301,21 @@ def encoding(s: Identity) -> tuple:
     return (s.n, s.flavor, cls, dom)
 
 
-def relabelings(s: Identity):
-    """Walk the orbit of s under relabeling: yield (pi, permute(s, pi)).
-
-    Every permutation pi of 0..n-1 comes once, in itertools.permutations
-    order, so the identity comes first; orbit members repeat when s has
-    automorphisms.  The walk is n! steps long and is refused above
-    CANONICAL_BOUND.  It generates only permutations, so no step checks
-    pi again.
-    """
-    if s.n > CANONICAL_BOUND:
-        raise SizeGuardError(
-            f"relabeling scan supports n <= {CANONICAL_BOUND}, got {s.n}"
-        )
-    for pi in itertools.permutations(range(s.n)):
-        yield pi, _relabel(s, pi)
-
-
 def canonical_form(s: Identity):
     """Lexicographically minimal relabeling of s, with a witnessing permutation.
 
     Two identities are isomorphic iff their canonical forms are equal.  The
-    minimum of ``encoding`` is taken over one full orbit walk
-    (``relabelings``), so the cost is n! relabelings; the witness is the
-    first minimizing permutation in itertools order.
+    minimum of ``encoding`` is taken over the relabelings through every
+    permutation of 0..n-1, so the cost is n! relabelings and n is refused
+    above CANONICAL_BOUND; the witness is the first minimizing permutation
+    in itertools.permutations order.
     """
-    pi, form = min(relabelings(s), key=lambda item: encoding(item[1]))
-    return form, pi
+    if s.n > CANONICAL_BOUND:
+        raise SizeGuardError(
+            f"relabeling scan supports n <= {CANONICAL_BOUND}, got {size_text(s.n)}"
+        )
+    pi = min(itertools.permutations(range(s.n)), key=lambda p: encoding(_relabel(s, p)))
+    return _relabel(s, pi), pi
 
 
 def _class_id_map(s: Identity) -> dict:
@@ -463,9 +461,11 @@ def _mask_from_json(sub, n: int) -> int:
     if not isinstance(sub, list) or not all(
         type(e) is int and e >= 0 for e in sub
     ):
-        raise UsageError(f"subset {sub!r} is not a list of non-negative integers")
+        raise UsageError(
+            f"subset {size_text(sub)} is not a list of non-negative integers"
+        )
     if any(e >= n for e in sub):
-        raise UsageError(f"subset {sub} exceeds the ground set 0..{n - 1}")
+        raise UsageError(f"subset {size_text(sub)} exceeds the ground set 0..{n - 1}")
     return mask_of(sub)
 
 

@@ -103,15 +103,10 @@ def s_doubleprime_n(n: int) -> Identity:
             tails = list(itertools.product((0, 1), repeat=n - m - 1))
             ext0 = [value(eta + (0,) + t) for t in tails]
             ext1 = [value(eta + (1,) + t) for t in tails]
-            for i in (0, 1):
-                pairs = set()
-                for l0 in ext0:
-                    for l1 in ext1:
-                        w = base + base * l0 + l1
-                        pairs.add(mask_of((l0 if i == 0 else l1, w)))
-                if len(pairs) >= 2:
-                    classes.append(frozenset(pairs))
-    return Identity(base + base * base, "pairs", frozenset(classes))
+            witness = [(l0, l1, base + base * l0 + l1) for l0 in ext0 for l1 in ext1]
+            classes.append([(l0, w) for l0, _, w in witness])
+            classes.append([(l1, w) for _, l1, w in witness])
+    return identity_from_subsets(base + base * base, "pairs", classes)
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,9 @@ def max_meet_identity(n_str: int) -> LabeledIdentity:
     strings.sort()
     groups = {}
     for i, j in itertools.combinations(range(len(strings)), 2):
-        groups.setdefault(meet(strings[i], strings[j]), set()).add(mask_of((i, j)))
-    classes = frozenset(
-        frozenset(g) for g in groups.values() if len(g) >= 2
-    )
+        groups.setdefault(meet(strings[i], strings[j]), []).append((i, j))
     return LabeledIdentity(
-        Identity(len(strings), "pairs", classes), tuple(strings)
+        identity_from_subsets(len(strings), "pairs", groups.values()), tuple(strings)
     )
 
 

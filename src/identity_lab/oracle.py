@@ -305,7 +305,7 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
         if min(max_size, c.n_ground) > GENERATION_BOUND:
             raise SizeGuardError(
                 f"unordered id_of relabels identities of at most "
-                f"{GENERATION_BOUND} elements, got max_size {max_size} on "
+                f"{GENERATION_BOUND} elements, got max_size {size_text(max_size)} on "
                 f"{c.n_ground} points"
             )
     found = [Identity(k, "pairs", frozenset(classes[i] for i in r))

@@ -17,6 +17,8 @@ from identity_lab import (
     coloring_from_json,
     coloring_to_json,
     duplicate,
+    embeds,
+    explain,
     from_json,
     generate_catalog,
     id_of,
@@ -24,6 +26,7 @@ from identity_lab import (
     is_meet_respecting,
     LabeledIdentity,
     normalize_vertex_colors,
+    permute,
     product_coloring,
     realizes,
     restrict,
@@ -584,12 +587,53 @@ HUGE = 10**5000  # past Python's default 4,300-digit limit for str(int)
     pytest.param(lambda: builtin_coloring("min_pair", n=HUGE), SizeGuardError, "an",
                  id="min_pair"),
     pytest.param(lambda: arrow_check(HUGE, TRIANGLE, 2), SizeGuardError, "an", id="arrow"),
+    # elements, element lists and the n of an Identity built directly
+    pytest.param(lambda: restrict(trivial(3), [HUGE]), UsageError, "an", id="restrict"),
+    pytest.param(lambda: restrict(trivial(3), -HUGE), UsageError, "a negative",
+                 id="restrict-mask"),
+    pytest.param(lambda: restrict(trivial(3), [HUGE, "0"]), UsageError, "an",
+                 id="restrict-not-int"),
+    pytest.param(lambda: restrict(Identity(HUGE, "pairs", frozenset()), [-1]), UsageError,
+                 "an", id="restrict-ground"),
+    pytest.param(lambda: permute(trivial(3), [HUGE, 0, 1]), UsageError, "an", id="permute"),
+    pytest.param(lambda: permute(Identity(HUGE, "pairs", frozenset()), [0, 1, 2]),
+                 UsageError, "an", id="permute-ground"),
+    pytest.param(lambda: from_json({"n": 3, "flavor": "pairs", "classes": [[[0, HUGE]]]}),
+                 UsageError, "an", id="from_json-subset"),
+    pytest.param(lambda: from_json({"n": 3, "flavor": "pairs", "classes": [[[0, -HUGE]]]}),
+                 UsageError, "a negative", id="from_json-negative"),
+    pytest.param(lambda: closure.member_of_catalog(
+        generate_catalog(2), Identity(HUGE, "pairs", frozenset())), SizeGuardError, "an",
+        id="member"),
+    pytest.param(lambda: canonical_form(Identity(HUGE, "pairs", frozenset())),
+                 SizeGuardError, "an", id="canonical_form"),
+    pytest.param(lambda: simplify_k(Identity(HUGE, "full", frozenset()), 1),
+                 SizeGuardError, "an", id="simplify_k"),
+    pytest.param(lambda: embeds(Identity(HUGE, "full", frozenset()), trivial_full(2)),
+                 SizeGuardError, "an", id="embeds"),
+    pytest.param(lambda: id_of(builtin_coloring("min_pair", n=9), HUGE), SizeGuardError,
+                 "an", id="id_of-unordered"),
 ])
 def test_huge_sizes_are_refused_by_their_bit_length(call, error, shown):
-    # str() of HUGE raises ValueError, so a refusal that printed the size
+    # str() of HUGE raises ValueError, so a refusal that printed the value
     # would crash in its own message; s_k and s_prime_n name their ground
     with pytest.raises(error, match=f"{shown} integer of [0-9]+ bits"):
         call()
+
+
+@pytest.mark.parametrize("n", [73, HUGE], ids=["73", "huge"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: check(s), id="check"),
+    pytest.param(lambda s: explain(check(trivial(3)), s), id="explain"),
+    pytest.param(lambda s: realizes(builtin_coloring("constant", n=4), s), id="realizes"),
+    pytest.param(lambda s: arrow_check(4, s, 2), id="arrow_check"),
+    pytest.param(lambda s: duplicate(s, 0), id="duplicate"),
+])
+def test_identities_built_above_the_ground_bound_are_refused(call, n):
+    # from_json refuses such a ground; an Identity built directly is held
+    # to the same bound before any C(n,2) structure is built
+    with pytest.raises(SizeGuardError, match="exceeds the bound 72"):
+        call(Identity(n, "pairs", frozenset()))
 
 
 def test_id_of_answers_grounds_within_the_scan_count():
