@@ -19,14 +19,7 @@ from identity_lab.closure import (
     member_of_catalog,
     restrict,
 )
-from identity_lab.core import (
-    Identity,
-    _dump,
-    all_pair_masks,
-    canonical_form,
-    permute,
-    to_json,
-)
+from identity_lab.core import _dump, canonical_form, permute, to_json
 from identity_lab.families import (
     max_meet_identity,
     order_forcing_extension,
@@ -38,6 +31,7 @@ from identity_lab.families import (
     trivial_full,
 )
 from identity_lab.oracle import _id_of_texts
+from test_closure import random_identity
 
 
 def _pin(texts) -> tuple:
@@ -226,15 +220,6 @@ def test_unordered_members_among_s_prime_3_restrictions_are_pinned(cat6):
 # canonical_form, form and witness, over catalog(5), relabeled entries and
 # seeded pairs identities of 6 and 7 points
 
-def _random_pairs_identity(rng, n):
-    """A seeded pairs identity: the C(n,2) pairs fall into about half as
-    many groups as there are pairs."""
-    groups = {}
-    for b in all_pair_masks(n):
-        groups.setdefault(rng.randrange(n * (n - 1) // 4 + 1), []).append(b)
-    return Identity(n, "pairs", frozenset(frozenset(g) for g in groups.values() if len(g) >= 2))
-
-
 def _canonical_form_inputs(cat5):
     rng = random.Random(28)
     entries = cat5.members()
@@ -243,8 +228,8 @@ def _canonical_form_inputs(cat5):
         pi = list(range(s.n))
         rng.shuffle(pi)
         relabeled.append(permute(s, pi))
-    seeded = [_random_pairs_identity(rng, 6) for _ in range(100)]
-    seeded += [_random_pairs_identity(rng, 7) for _ in range(10)]
+    seeded = [random_identity(rng, 6, "pairs") for _ in range(100)]
+    seeded += [random_identity(rng, 7, "pairs") for _ in range(10)]
     return entries + relabeled + seeded
 
 

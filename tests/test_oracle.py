@@ -623,7 +623,7 @@ def test_huge_sizes_are_refused_by_their_bit_length(call, error, shown):
 
 @pytest.mark.parametrize("n", [73, HUGE], ids=["73", "huge"])
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda s: check(s), id="check"),
+    pytest.param(check, id="check"),
     pytest.param(lambda s: explain(check(trivial(3)), s), id="explain"),
     pytest.param(lambda s: realizes(builtin_coloring("constant", n=4), s), id="realizes"),
     pytest.param(lambda s: arrow_check(4, s, 2), id="arrow_check"),
