@@ -30,7 +30,7 @@ from identity_lab.families import (
     trivial,
     trivial_full,
 )
-from identity_lab.oracle import _id_of_texts
+from identity_lab.oracle import _id_of_texts, arrow_check, builtin_coloring, realizes
 from test_closure import random_identity
 
 
@@ -269,3 +269,37 @@ def test_check_and_explain_on_families_are_pinned():
                + [s_doubleprime_n(n) for n in range(1, 4)])
     texts = [t for s in members for t in _check_texts(s)]
     assert _pin(texts) == CHECK_FAMILIES_SHA256
+
+
+# realizes witnesses and arrow_check verdicts over catalog(4)
+
+# seeded random colorings, four seeds each, dense to sparse: some members
+# have no realization, more of them in ordered mode
+REALIZES_COLORINGS = [(n, colors, seed) for n, colors in ((5, 3), (5, 6), (6, 8), (7, 4), (8, 8))
+                      for seed in range(4)]
+# ordered -> (texts, sha256): [embedding, pulled_colors] per coloring and
+# member, or null
+REALIZES_SHA256 = {
+    False: (300, "c432368f971f49c520c1c0188e9d85a906b660b3741842b64a5010260a2a1a9b"),
+    True: (300, "ff3db5296d73d84bab879f9d27a0e7e3026da3eca7224df58c528c11a7d7549b"),
+}
+# the verdict of every member at N = 1..7 with 2 colors: 58 true, 47 false
+ARROW_CHECK_SHA256 = (105, "258025f08f8bd542d06ba46a6719c0fd179e4121c73e7af9ff89b1e3fa5c8c14")
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_realizes_witnesses_on_catalog4_are_pinned(ordered):
+    members = generate_catalog(4).members()
+    texts = []
+    for n, colors, seed in REALIZES_COLORINGS:
+        c = builtin_coloring("random", n=n, colors=colors, seed=seed)
+        for s in members:
+            r = realizes(c, s, ordered)
+            texts.append(_dump(None if r is None else [list(r.embedding), list(r.pulled_colors)]))
+    assert _pin(texts) == REALIZES_SHA256[ordered]
+
+
+def test_arrow_check_verdicts_on_catalog4_are_pinned():
+    texts = [_dump(arrow_check(N, s, 2)) for s in generate_catalog(4).members()
+             for N in range(1, 8)]
+    assert _pin(texts) == ARROW_CHECK_SHA256
