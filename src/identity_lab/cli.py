@@ -77,9 +77,8 @@ def _report(args, digest, output_text) -> str:
 def _emit(args, digest, output_text, text_lines):
     if args.json:
         print(_report(args, digest, output_text))
-    else:
-        for line in text_lines:
-            print(line)
+    elif text_lines:  # one write: a --list runs to 10^5 lines, too many for a print each
+        sys.stdout.write("\n".join(text_lines) + "\n")
 
 
 def _verdict_json(v):

@@ -385,7 +385,10 @@ def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     are equivalent iff their images are (checked at the top of their
     union).  The empty set maps to itself, so it is checked up front.
     Each depth's tests become one mask by running them on every target
-    not yet placed.  Returns the first witness in lex order, or None."""
+    not yet placed.  Returns the first witness in lex order, or None.
+    Both identities are validated first, grounds against GROUND_BOUND."""
+    _check_valid(src)
+    _check_valid(tgt)
     if src.flavor == "pairs":
         tgt = to_pairs(tgt)
     elif src.flavor != tgt.flavor:

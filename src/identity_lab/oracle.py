@@ -317,28 +317,28 @@ def id_of(c: Coloring, max_size: int, ordered: bool = False):
 def _id_of_texts(c: Coloring, max_size: int, ordered: bool) -> list:
     """``_dump(to_json(s))`` for each identity of ``id_of``, in its order.
 
-    Ordered mode builds no identity: each relation joins the JSON texts of
-    its classes, rendered once per size, in the sorted-key layout of
-    ``_dump`` (classes < flavor < n).
+    Ordered mode builds no identity: the relation walk lists each
+    identity's text itself, joining the JSON texts of its classes,
+    rendered once per size, in the sorted-key layout of ``_dump``
+    (classes < flavor < n).
     """
     if not ordered:
         return [_dump(to_json(s)) for s in id_of(c, max_size)]
-    return ['{"classes":[' + ",".join(map(texts.__getitem__, r))
-            + '],"flavor":"pairs","n":' + str(k) + "}"
-            for k, _, texts, relations in _ordered_relations(c, max_size)
-            for r in relations]
+    return [text for *_, relations in _ordered_relations(c, max_size, texts=True)
+            for text in relations]
 
 
-def _ordered_relations(c: Coloring, max_size: int) -> list:
+def _ordered_relations(c: Coloring, max_size: int, texts: bool = False) -> list:
     """The ordered enumeration behind ``id_of``, one entry per size k:
     ``(k, classes, class_texts, relations)``.
 
     ``classes`` holds the size's distinct pair classes (frozensets of pair
     masks: every subset of two or more pairs of a distinct induced block)
     in element-tuple order, ``class_texts`` the compact JSON text of each,
-    and ``relations`` the tuples of class numbers, one per identity, in
-    increasing order, so ``encoding`` order.  The guards count every size
-    before ``_walk_relations`` lists any.
+    and ``relations`` one entry per identity, in ``encoding`` order: the
+    increasing tuple of its class numbers, or with ``texts`` its
+    ``_dump(to_json(s))``.  The guards count every size before
+    ``_walk_relations`` lists any.
     """
     check_size(max_size, "id_of max_size")
     if c.arity < 2:
@@ -372,12 +372,14 @@ def _ordered_relations(c: Coloring, max_size: int) -> list:
                     f"cap {ID_OF_OUTPUT_CAP}; narrow max_size or the coloring"
                 )
         induced.append((k, partitions))
-    return [(k, *_walk_relations(partitions)) for k, partitions in induced]
+    return [(k, *_walk_relations(partitions, k if texts else None))
+            for k, partitions in induced]
 
 
-def _walk_relations(partitions) -> tuple:
+def _walk_relations(partitions, k=None) -> tuple:
     """``(classes, class_texts, relations)`` of one size from its distinct
-    induced partitions.
+    induced partitions; ``relations`` holds tuples of class numbers, or,
+    given the size ``k``, the identity texts.
 
     The classes are the subsets of two or more pairs of each distinct
     block, numbered in element-tuple order.  Each class carries the
@@ -390,9 +392,13 @@ def _walk_relations(partitions) -> tuple:
     the one added and, when the common partitions shrink, by the classes
     that fit one of them (memoized per partition set).  The stack is
     explicit (a nested recursive walk would be a reference cycle holding
-    these tables), and each tuple extends its prefix by a shared
-    one-number tuple, so every relation holds the same class-number ints
-    (those above 256 are not cached by Python).
+    these tables).  A frame carries its relation's prefix and the pieces
+    that extend it by one class: for tuples the prefix is the tuple and
+    every piece a shared one-number tuple, so every relation holds the same
+    class-number ints (those above 256 are not cached by Python); for
+    texts the prefix is the identity text up to its last class, a root
+    child adds the class text and a deeper one a comma and the class text,
+    and each listed relation is its prefix plus the closing tail.
     """
     partitions = list(partitions)
     in_parts, keys = {}, {}  # block -> partitions holding it; class -> key
@@ -432,20 +438,26 @@ def _walk_relations(partitions) -> tuple:
             hit |= touching[m]
         disjoint.append(every & ~hit)
     fitting = {}  # partition set -> classes fitting one of its partitions
-    singles = [(i,) for i in range(len(classes))]  # shared class-number ints
-    relations = [()]
-    # one frame per relation still extending: (relation, common, candidates)
-    stack = [((), (1 << len(partitions)) - 1, every)] if every else []
+    class_texts = [_dump(keys[cl]) for cl in classes]
+    if k is None:
+        head = tail = ()
+        first = later = [(i,) for i in range(len(classes))]  # shared class-number ints
+    else:
+        head, tail = '{"classes":[', '],"flavor":"pairs","n":' + str(k) + "}"
+        first, later = class_texts, ["," + t for t in class_texts]
+    relations = [head + tail]
+    # one frame per relation still extending: (prefix, pieces, common, candidates)
+    stack = [(head, first, (1 << len(partitions)) - 1, every)] if every else []
     while stack:
-        rel, common, cand = stack.pop()
+        rel, pieces, common, cand = stack.pop()
         low = cand & -cand
         j = low.bit_length() - 1
         cand ^= low
         if cand:
-            stack.append((rel, common, cand))
+            stack.append((rel, pieces, common, cand))
             cand &= disjoint[j]
-        rel += singles[j]
-        relations.append(rel)
+        rel += pieces[j]
+        relations.append(rel + tail)
         if cand:
             narrowed = common & fit[j]
             if narrowed != common:
@@ -453,8 +465,8 @@ def _walk_relations(partitions) -> tuple:
                     fitting[narrowed] = _union_at(fits, narrowed)
                 cand &= fitting[narrowed]
             if cand:
-                stack.append((rel, narrowed, cand))
-    return classes, [_dump(keys[cl]) for cl in classes], relations
+                stack.append((rel, later, narrowed, cand))
+    return classes, class_texts, relations
 
 
 def _union_at(masks: list, bits: int) -> int:

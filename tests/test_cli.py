@@ -406,11 +406,12 @@ def test_oracle_list_output_is_pinned(tmp_path):
     assert hashlib.sha256(_dump(output).encode()).hexdigest() == (
         "f78450f3995b84cbcf83bcde767de9d97ba04cbff092675b17e83157c7719886")
     # text mode prints each identity document of the JSON report, one a line
-    code, out = main_in_process(*argv, "4", "--json")
-    docs = json.loads(out)["output"]["identities"]
-    code, text = main_in_process(*argv, "4")
-    assert code == 0 and docs
-    assert text == "".join(_dump(d) + "\n" for d in docs)
+    code, out4 = main_in_process(*argv, "4", "--json")
+    for max_size, docs in (("4", json.loads(out4)["output"]["identities"]),
+                           ("5", output["identities"])):
+        code, text = main_in_process(*argv, max_size)
+        assert code == 0 and docs
+        assert text == "".join(_dump(d) + "\n" for d in docs)
 
 
 @pytest.mark.parametrize("n, colors, seed", [

@@ -382,9 +382,14 @@ def test_ordered_id_of_matches_the_expansion_loop(n, colors, seed, max_size):
 
 def assert_walk_is_the_expansion(c, max_size):
     sizes = oracle._ordered_relations(c, max_size)
-    assert sizes == reference_ordered_relations(c, max_size)
+    reference = reference_ordered_relations(c, max_size)
+    assert sizes == reference
     for _, _, _, relations in sizes:
         assert all(r < t for r, t in zip(relations, relations[1:]))
+    # the text walk lists the class texts joined over the same tuples
+    assert _id_of_texts(c, max_size, True) == [
+        '{"classes":[' + ",".join(texts[i] for i in r) + '],"flavor":"pairs","n":' + str(k) + "}"
+        for k, _, texts, relations in reference for r in relations]
 
 
 @pytest.mark.parametrize("kind, params, max_size", [
@@ -611,6 +616,8 @@ HUGE = 10**5000  # past Python's default 4,300-digit limit for str(int)
                  SizeGuardError, "an", id="simplify_k"),
     pytest.param(lambda: embeds(Identity(HUGE, "full", frozenset()), trivial_full(2)),
                  SizeGuardError, "an", id="embeds"),
+    pytest.param(lambda: embeds(trivial(3), Identity(HUGE, "pairs", frozenset())),
+                 SizeGuardError, "an", id="embeds-target"),
     pytest.param(lambda: id_of(builtin_coloring("min_pair", n=9), HUGE), SizeGuardError,
                  "an", id="id_of-unordered"),
 ])
