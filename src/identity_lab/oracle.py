@@ -318,7 +318,7 @@ def _id_of_texts(c: Coloring, max_size: int, ordered: bool) -> list:
     """``_dump(to_json(s))`` for each identity of ``id_of``, in its order.
 
     Ordered mode builds no identity: the relation walk lists each
-    identity's text itself, joining the JSON texts of its classes,
+    identity's text itself, built from the JSON texts of its classes,
     rendered once per size, in the sorted-key layout of ``_dump``
     (classes < flavor < n).
     """
