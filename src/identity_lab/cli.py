@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -238,7 +239,10 @@ def _cmd_explain(args):
     return EXIT_OK if verdict.accepted else EXIT_NEGATIVE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state between
+    calls, and help reads the terminal width only when it is printed."""
     parser = argparse.ArgumentParser(
         prog="identity-lab",
         description="finite identity structures: catalogs, criterion, oracles",
@@ -319,8 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args._argv = argv
     started = time.monotonic()
     try:

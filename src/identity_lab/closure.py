@@ -266,10 +266,12 @@ def _relabeled_keys(key: bytes, n: int, flavor: str):
         yield _renormalized(slot_map.translate(labels))
 
 
-def _generation_steps(n: int, max_n: int, flavor: str):
-    """The generation steps out of size n, in enumeration order.
+@functools.lru_cache(maxsize=None)
+def _generation_steps(n: int, max_n: int, flavor: str) -> tuple:
+    """The generation steps out of size n, in enumeration order, built
+    once per ``(n, max_n, flavor)``.
 
-    Returns ``(fresh, steps)`` with steps ``(trace, size, slot_map)``,
+    Returns ``(fresh, steps)`` with steps a tuple of ``(trace, size, slot_map)``,
     each trace ``(("dup", m), ("res", kept))`` with m < n.  Child slot c
     lifts through ``kept`` to a mask M on the doubled ground, whose parent
     slot is M inside 0..n-1, g^-1 M off the tail m..n-1, and otherwise a
@@ -308,7 +310,7 @@ def _generation_steps(n: int, max_n: int, flavor: str):
         maps.add(step_map)
         width = max(width, fresh)
         steps.append(((("dup", m), ("res", kept)), len(kept), bytes(idx)))
-    return bytes(range(len(index), width)), steps
+    return bytes(range(len(index), width)), tuple(steps)
 
 
 def _identity_of(key: bytes, n: int, flavor: str, shared: dict) -> Identity:

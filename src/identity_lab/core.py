@@ -343,38 +343,43 @@ def first_injection(n_src: int, n_tgt: int, ordered: bool, checks, budget=None):
     ``budget``, a one-item list searches may share (SEARCH_GUARD if None),
     allowed or not: as each allowed one is reached, the free targets up to
     it are charged, and the rest when the depth is exhausted.  Running out
-    raises SizeGuardError.  Returns a tuple or None."""
+    raises SizeGuardError and leaves -1 in the budget.  Returns a tuple,
+    or None, and leaves in the budget what is left.
+
+    The search is one loop over an explicit stack: for each depth below
+    the current one, ``rests[d]`` holds its free targets not yet charged
+    and ``alloweds[d]`` its allowed targets not yet tried, both above
+    h[d]; the budget is counted down in a local."""
     budget = [SEARCH_GUARD] if budget is None else budget
-    h = []
-
-    def spend(nodes, d):
-        budget[0] -= nodes
-        if budget[0] < 0:
-            budget[0] = -1  # where a node-by-node count stops
-            raise SizeGuardError(f"injection search of {n_src} into {n_tgt} passed "
-                                 f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {d}")
-
-    def extend(d, free):
-        if d == n_src:
-            return True
-        rest = free & (-2 << h[-1]) if ordered and h else free
+    left, free, h, d = budget[0], (1 << n_tgt) - 1, [], 0
+    rests, alloweds = [0] * n_src, [0] * n_src
+    while d < n_src:
+        rest = free & (-2 << h[-1]) if ordered and d else free
         allowed = rest
         for allow in checks[d]:
             allowed &= allow(h)
-        while allowed:
-            low = allowed & -allowed
+        while True:  # charge up to the next allowed target, or backtrack
+            low = allowed & -allowed  # 0 once depth d is exhausted: all of rest is reached
             reached = rest & ((low << 1) - 1)
-            rest ^= reached
-            spend(reached.bit_count(), d)
-            h.append(low.bit_length() - 1)
-            if extend(d + 1, free ^ low):
-                return True
-            h.pop()
-            allowed ^= low
-        spend(rest.bit_count(), d)
-        return False
-
-    return tuple(h) if extend(0, (1 << n_tgt) - 1) else None
+            left -= reached.bit_count()
+            if left < 0:
+                budget[0] = -1  # where a node-by-node count stops
+                raise SizeGuardError(f"injection search of {n_src} into {n_tgt} passed "
+                                     f"SEARCH_GUARD ({SEARCH_GUARD} nodes) at depth {d}")
+            if low:
+                break
+            if not d:
+                budget[0] = left
+                return None
+            d -= 1
+            free |= 1 << h.pop()
+            rest, allowed = rests[d], alloweds[d]
+        rests[d], alloweds[d] = rest ^ reached, allowed ^ low
+        h.append(low.bit_length() - 1)
+        free ^= low
+        d += 1
+    budget[0] = left
+    return tuple(h)
 
 
 def embeds(src: Identity, tgt: Identity, ordered: bool = False):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass, field
 
 from .closure import GENERATION_BOUND, canonical_forms
@@ -90,13 +91,16 @@ def _int_param(d: dict, name, least=1) -> int:
     return d[name]
 
 
+_TABLE_KEY = re.compile(r"(0|[1-9][0-9]*)(?:,(0|[1-9][0-9]*))?")
+
+
 def _table_key(text) -> tuple:
     """Elements of a table key, which must read "i" or "i,j" in canonical
     decimals as coloring_to_json writes it, so each key has one spelling."""
-    parts = text.split(",") if isinstance(text, str) else []
-    try:  # int() refuses some isdigit() texts, and any past its digit limit
-        if 0 < len(parts) < 3 and all(p.isdigit() and str(int(p)) == p for p in parts):
-            return tuple(map(int, parts))
+    match = _TABLE_KEY.fullmatch(text) if isinstance(text, str) else None
+    try:  # int() refuses a literal past its digit limit
+        if match:
+            return tuple(int(p) for p in match.groups() if p is not None)
     except ValueError:
         pass
     raise UsageError(f'table key {text!r} is not "i" or "i,j" in canonical decimals')
@@ -390,7 +394,12 @@ def _walk_relations(partitions, k=None) -> tuple:
     candidates lists each exactly once, in preorder, which is sorted order.
     The candidates are one bitmask, narrowed by the classes disjoint from
     the one added and, when the common partitions shrink, by the classes
-    that fit one of them (memoized per partition set).  The stack is
+    that fit one of them (memoized per partition set).  A class that fits
+    a partition fits every coarser one, so every ``fit`` is closed under
+    coarsening and the classes fitting one of a set of partitions are
+    those fitting one of its coarsest: the walk tracks the common
+    partitions among the coarsest of the size (``top``, those no other
+    one coarsens) only, and ORs fewer masks.  The stack is
     explicit (a nested recursive walk would be a reference cycle holding
     these tables).  A frame carries its relation's prefix and the pieces
     that extend it by one class: for tuples the prefix is the tuple and
@@ -423,9 +432,15 @@ def _walk_relations(partitions, k=None) -> tuple:
             fit[i] |= ps
             held[b] |= 1 << i
     fits = [0] * len(partitions)  # partition -> classes fitting it
+    top = 0  # partitions that no other one coarsens
     for p, part in enumerate(partitions):
+        coarser = -1
         for b in part:
             fits[p] |= held[b]
+            if len(b) > 1:  # a block of two or more pairs is itself a class
+                coarser &= fit[number[b]]
+        if coarser == 1 << p:
+            top |= 1 << p
     every = (1 << len(classes)) - 1
     touching = {}  # pair -> classes holding it
     for i, cl in enumerate(classes):
@@ -447,7 +462,7 @@ def _walk_relations(partitions, k=None) -> tuple:
         first, later = class_texts, ["," + t for t in class_texts]
     relations = [head + tail]
     # one frame per relation still extending: (prefix, pieces, common, candidates)
-    stack = [(head, first, (1 << len(partitions)) - 1, every)] if every else []
+    stack = [(head, first, top, every)] if every else []
     while stack:
         rel, pieces, common, cand = stack.pop()
         low = cand & -cand

@@ -22,7 +22,7 @@ from identity_lab import (
     to_json,
     trivial,
 )
-from identity_lab.cli import _dump, main
+from identity_lab.cli import _build_parser, _dump, main
 from identity_lab.closure import catalog_to_json, generate_catalog
 from test_closure import CATALOG_SHA256
 from test_criterion import ORDER_SEARCH_PAST_GUARD
@@ -370,6 +370,24 @@ def test_oracle_flow(tmp_path, sk3_file, trivial5_file):
     proc = run("oracle", "--coloring", str(col), "--identity", trivial5_file, "--ordered")
     assert proc.returncode == 0
     assert "embedding" in proc.stdout
+
+
+def test_one_parser_serves_every_call(tmp_path, trivial5_file):
+    # main parses every argv with one parser: a usage error and another
+    # command between two runs leave the second run's answer unchanged
+    col = tmp_path / "minpair.json"
+    col.write_text(json.dumps({"builtin": "min_pair", "n": 8}))
+    tri = tmp_path / "triangle.json"
+    tri.write_text(json.dumps({"n": 3, "flavor": "pairs", "classes": [[[0, 1], [0, 2], [1, 2]]]}))
+    realize = ("oracle", "--coloring", str(col), "--identity", trivial5_file, "--ordered", "--json")
+    first = main_in_process(*realize)
+    assert first[0] == 0 and '"embedding":[0,1,2,3,4]' in first[1]
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["oracle", "--coloring", str(col), "--max-size", "two"])
+    assert exc.value.code == 2
+    assert main_in_process("arrow", "--n", "5", "--identity", str(tri), "--colors", "2") == (3, "false\n")
+    assert main_in_process(*realize) == first
+    assert _build_parser() is _build_parser()
 
 
 def test_coloring_kind_key_is_ignored(tmp_path):

@@ -1,5 +1,6 @@
 """Ground-type plumbing: masks, validation, relabeling, embeddings, JSON."""
 
+import functools
 import itertools
 import random
 
@@ -391,6 +392,30 @@ def test_embeds_spends_the_reference_search_budget(cat4, monkeypatch):
             assert embeds(src, tgt, ordered) == reference_embeds(src, tgt, ordered, ref), (
                 to_json(src), to_json(tgt), ordered)
             assert budget == ref
+
+
+@given(n_src=st.integers(0, 5), n_tgt=st.integers(0, 8), ordered=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(0, 300))
+def test_first_injection_matches_the_reference(n_src, n_tgt, ordered, seed, nodes):
+    # per-prefix check masks from a seeded table, zero to two checks a
+    # depth: the loop and the per-candidate search give the same witness,
+    # None or refusal text, and leave the same budget
+    rng = random.Random(seed)
+    density = rng.randrange(1, 4)  # a mask allows about 1 - 2^-density of the targets
+    tables = [[{p: functools.reduce(int.__or__, (rng.getrandbits(n_tgt) for _ in range(density)))
+                for p in itertools.permutations(range(n_tgt), d)}
+               for _ in range(rng.randrange(3))] for d in range(n_src)]
+    fast = [[lambda h, m=m: m[tuple(h)] for m in ms] for ms in tables]
+    slow = [[lambda h, m=m: m[tuple(h[:-1])] >> h[-1] & 1 for m in ms] for ms in tables]
+
+    def run(search, checks):
+        budget = [nodes]
+        try:
+            return search(n_src, n_tgt, ordered, checks, budget), budget
+        except SizeGuardError as exc:
+            return str(exc), budget
+
+    assert run(first_injection, fast) == run(reference_first_injection, slow)
 
 
 def test_ordered_embedding_must_increase():
