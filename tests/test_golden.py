@@ -14,6 +14,7 @@ import pytest
 from identity_lab import SizeGuardError, UsageError, check, coloring_from_json, explain
 from identity_lab.cli import _verdict_json
 from identity_lab.closure import (
+    _catalog_chunks,
     canonical_forms,
     generate_catalog,
     member_of_catalog,
@@ -31,7 +32,8 @@ from identity_lab.families import (
     trivial_full,
 )
 from identity_lab.oracle import _id_of_texts, arrow_check, builtin_coloring, realizes
-from test_closure import random_identity
+from test_cli import main_in_process
+from test_closure import CATALOG_SHA256, random_identity
 
 
 def _pin(texts) -> tuple:
@@ -303,3 +305,61 @@ def test_arrow_check_verdicts_on_catalog4_are_pinned():
     texts = [_dump(arrow_check(N, s, 2)) for s in generate_catalog(4).members()
              for N in range(1, 8)]
     assert _pin(texts) == ARROW_CHECK_SHA256
+
+
+# Every CLI command's --json report, one input each, run in process from a
+# scratch directory with relative paths so the command echo is stable
+
+def _cli_inputs():
+    """Input files by name: a pairs catalog(4) entry, a full-flavor size-4
+    entry reversed (a member of full catalog(4) up to relabeling only),
+    s_k(3), a seeded coloring and full catalog(4) as `catalog` writes it."""
+    full4 = generate_catalog(4, "full")
+    full = next(t for t in (permute(s, range(3, -1, -1)) for s in full4.members()
+                            if s.n == 4) if t not in full4)
+    return {
+        "pairs.json": _dump(to_json(generate_catalog(4).members()[-1])),
+        "full.json": _dump(to_json(full)),
+        "sk3.json": _dump(to_json(s_k(3))),
+        "coloring.json": _dump({"builtin": "random", "n": 7, "colors": 3, "seed": 0}),
+        "full4.json": "".join(_catalog_chunks(full4)),
+    }
+
+
+CLI_RUNS = {
+    "builtin": ["builtin", "--family", "sk", "--k", "3"],
+    "check": ["check", "--in", "pairs.json"],
+    "explain": ["explain", "--in", "sk3.json"],
+    "catalog": ["catalog", "--max-size", "4", "--full", "--out", "written.json"],
+    "member": ["member", "--catalog", "full4.json", "--in", "full.json"],
+    "oracle --identity": ["oracle", "--coloring", "coloring.json", "--identity", "pairs.json"],
+    "oracle --list": ["oracle", "--coloring", "coloring.json", "--list", "--max-size", "4"],
+    "arrow": ["arrow", "--n", "6", "--identity", "pairs.json", "--colors", "2"],
+    "simplify": ["simplify", "--in", "full.json", "--k", "2"],
+    "extend-order": ["extend-order", "--in", "pairs.json"],
+}
+# command -> (exit code, sha256 of the report line)
+CLI_REPORT_SHA256 = {
+    "arrow": (0, "d2f739c6fb4da02b441bd61c1827aedfbabd991491ffd5f881119b855693b2ee"),
+    "builtin": (0, "99d4e27a2cc45777a6b8b235981379c5f61dab9c83beebd1c340ff0ea23b99c2"),
+    "catalog": (0, "9e8a12e61eb4c4904f7575fe3889e365bb3484128c80e8738c423397665c5819"),
+    "check": (0, "0e0138064b9175c61d86604cc02c7bb70c2ee70df5dd2eefb0be1f89c09ac659"),
+    "explain": (3, "0b08129f1005475a2b1f92b908c791fe1ba5d70278ae968bf36884f32a5b815c"),
+    "extend-order": (0, "9d8b008dc4d0972ca03981ef13d08aa1e7e6e9c80fcf0d9eb29ecadd7d8bd97f"),
+    "member": (0, "43c711c51d696f8df004d79b38492dd62be20278718d77ba4583276668b51a3c"),
+    "oracle --identity": (0, "a977666c80e378effb80ceaa978951e14931660e45f6e2cb7d1de98f6cad64a3"),
+    "oracle --list": (0, "c21416ebb6a22f8d78936cdeb9270848a4b3fb1a51711b5509c9af4cf0579bf9"),
+    "simplify": (0, "89a8d7315dba44aff7f0410a13f7d059b245a69a3378db147a55e881bbe0b44f"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_RUNS))
+def test_cli_json_reports_are_pinned(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _cli_inputs().items():
+        (tmp_path / name).write_text(text)
+    code, out = main_in_process(*CLI_RUNS[command], "--json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_REPORT_SHA256[command]
+    if command == "catalog":
+        written = (tmp_path / "written.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == CATALOG_SHA256["full", 4]
