@@ -22,18 +22,18 @@ the same step on a drop of the parent, or the step with one fate changed, so
 it is reached no later (a sketch, checked exhaustively up to GENERATION_BOUND).
 
 The BFS runs neither operation.  A pairs (full) identity is a set
-partition of its slots, the C(n,2) pairs (2^n subsets) in ``_domain_masks``
-order, keyed by first occurrence: byte i of the ``bytes`` key is the index
-of the first slot in its class, a key that is canonical per partition (a
-restricted growth string, Knuth, TAOCP 7.2.1.5).  Every step sends each
-child slot to one parent slot or to a fresh singleton, so it is a fixed
-slot map, one ``bytes`` object built once per parent size.  A child's key
-is ``slot_map.translate(labels)``, where ``labels`` is the parent's key
-and the fresh labels padded to 256 bytes: the C loop of translate sets
-byte i to ``labels[slot_map[i]]``, and every map byte indexes a real
-label, so the padding is never read.  ``_renormalized`` puts the
-result back in first-occurrence form.  Only a new key becomes an
-``Identity``.
+partition of its slots, the C(n,2) pairs (2^n subsets) in element-tuple
+(``_domain_masks``) order, keyed by first occurrence: byte i of the
+``bytes`` key is the index of the first slot in its class, a key that is
+canonical per partition (a restricted growth string, Knuth, TAOCP
+7.2.1.5).  Every step sends each child slot to one parent slot or to a
+fresh singleton, so it is a fixed slot map, one ``bytes`` object built
+once per parent size.  A child's key is ``slot_map.translate(labels)``,
+where ``labels`` is the parent's key and the fresh labels padded to 256
+bytes: the C loop of translate sets byte i to ``labels[slot_map[i]]``,
+and every map byte indexes a real label, so the padding is never read.
+``_renormalized`` puts the result back in first-occurrence form.  The BFS
+keeps keys and traces only.
 
 A relabeling is a slot map too: pi sends slot j's mask back to one slot of
 the original, so the orbit of a key is its gathers through one table per
@@ -52,12 +52,12 @@ from dataclasses import dataclass, field
 from .core import (
     SEARCH_GUARD,
     Identity,
+    _check_valid,
     _domain_masks,
     _dump,
     check_ground,
     check_size,
     elems_of,
-    encoding,
     from_json,
     mask_of,
     permute_mask,
@@ -172,7 +172,7 @@ class Catalog:
     Deduplication is by exact ordered encoding.  ``keys`` holds the
     first-occurrence ``bytes`` slot key of every entry (a key's length
     fixes its size), always derived from ``entries``: it is the set the
-    BFS of ``generate_catalog`` calls ``seen``.  Unordered queries gather
+    BFS of ``generate_catalog`` maps to traces.  Unordered queries gather
     the query's key through every relabeling against ``keys``; no
     canonical index is kept.
     """
@@ -224,9 +224,8 @@ def _renormalized(raw: bytes) -> bytes:
 
 def _stored_slots(key: bytes) -> list:
     """The non-singleton classes of a slot key, each the list of its
-    slots, in first-slot order.  Pair slots are in lex ``(i, j)`` order,
-    so for pairs keys this compares as ``encoding`` compares the
-    identities."""
+    slots, in first-slot order; slots are in element-tuple order, so this
+    compares as ``encoding`` compares same-size identities."""
     classes = {}
     for i, first in enumerate(key):
         if first != i:
@@ -363,15 +362,14 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
     """All identities of size <= max_n reachable by duplicate/restrict.
 
     Breadth-first fixed point from the 1-element identity over the bounded
-    steps of the module docstring.  Each frontier member, in ``encoding``
-    order, takes for m = 0..n-1 its fitting fate tuples in lexicographic
-    order (the order of a walk over all 3^(n-m) of them), and the first
-    step to reach an identity gives its trace: minimal-depth and replayable
-    through the two public operations.  Steps run on ``bytes`` slot keys:
-    the parent's first-occurrence key and the fresh labels, padded to 256
-    bytes once per parent, are gathered through the step's ``bytes`` slot
-    map (one ``translate``), built once per size, and put through
-    ``_renormalized``; only a key not seen before becomes an ``Identity``.
+    steps of the module docstring, on ``bytes`` slot keys.  Each frontier
+    key, by ``(len(key), _stored_slots(key))`` (``encoding`` order), takes
+    for m = 0..n-1 its fitting fate tuples in lexicographic order (as a
+    walk over all 3^(n-m) of them would), and the first step to reach a
+    key gives its trace: minimal-depth and replayable through the two
+    public operations.  A step is one ``translate`` of the parent's padded
+    labels through its slot map, then ``_renormalized``; one dict keeps each
+    key's trace, and each key becomes an ``Identity`` once, at the end.
     """
     check_size(max_n, "catalog max_n")
     if max_n > GENERATION_BOUND:
@@ -381,25 +379,26 @@ def generate_catalog(max_n: int, flavor: str = "pairs") -> Catalog:
         )
     if flavor not in ("pairs", "full"):
         raise UsageError(f"catalog flavor must be pairs or full, got {flavor!r}")
-    table = {n: _generation_steps(n, max_n, flavor) for n in range(1, max_n + 1)}
-    root = Identity(1, flavor, frozenset())
-    entries = {root: CatalogEntry(root, ())}
+    size = {len(_slot_index(n, flavor)): n for n in range(1, max_n + 1)}  # by key length
+    table = {width: _generation_steps(n, max_n, flavor) for width, n in size.items()}
     key = bytes(range(len(_slot_index(1, flavor))))  # every slot in its own class
-    frontier, seen, shared = [(root, key)], {key}, {}
+    traces, frontier = {key: ()}, [key]
     while frontier:
         discovered = []
-        for s, key in sorted(frontier, key=lambda item: encoding(item[0])):
-            fresh, steps = table[s.n]
-            labels, base = (key + fresh).ljust(256, b"\0"), entries[s].trace
-            for trace, n, slot_map in steps:
+        for key in sorted(frontier, key=lambda k: (len(k), _stored_slots(k))):
+            fresh, steps = table[len(key)]
+            labels, base = (key + fresh).ljust(256, b"\0"), traces[key]
+            for trace, _, slot_map in steps:
                 child = _renormalized(slot_map.translate(labels))
-                if child not in seen:
-                    seen.add(child)
-                    t = _identity_of(child, n, flavor, shared)
-                    entries[t] = CatalogEntry(t, base + trace)
-                    discovered.append((t, child))
+                if child not in traces:
+                    traces[child] = base + trace
+                    discovered.append(child)
         frontier = discovered
-    del seen  # freed before the catalog derives the same set from its entries
+    entries, shared = {}, {}
+    for key, trace in traces.items():
+        s = _identity_of(key, size[len(key)], flavor, shared)
+        entries[s] = CatalogEntry(s, trace)
+    del traces  # freed before the catalog derives the same keys from its entries
     return Catalog(max_n, flavor, entries)
 
 
@@ -436,6 +435,7 @@ def member_of_catalog(cat: Catalog, s: Identity, ordered: bool = False) -> bool:
         raise UsageError(
             f"query flavor {s.flavor!r} does not match catalog flavor {cat.flavor!r}"
         )
+    _check_valid(s)
     if ordered:
         return s in cat.entries
     return any(t in cat.keys for t in _relabeled_keys(_slot_key(s), s.n, s.flavor))

@@ -174,7 +174,7 @@ def identity_from_subsets(n: int, flavor: str, classes, domain=None) -> Identity
 
 
 def _domain_masks(s: Identity) -> list:
-    """Every subset e is defined on, as masks, in deterministic order.
+    """Every subset e is defined on, as masks, in ``elems_of`` order.
 
     A full identity has 2^n of them, so n is refused above CANONICAL_BOUND."""
     if s.flavor == "pairs":
@@ -184,7 +184,7 @@ def _domain_masks(s: Identity) -> list:
             raise SizeGuardError(
                 f"full-flavor domain supports n <= {CANONICAL_BOUND}, got {size_text(s.n)}"
             )
-        return list(range(1 << s.n))
+        return sorted(range(1 << s.n), key=elems_of)
     return sorted(s.domain, key=elems_of)
 
 
@@ -314,6 +314,7 @@ def canonical_form(s: Identity):
         raise SizeGuardError(
             f"relabeling scan supports n <= {CANONICAL_BOUND}, got {size_text(s.n)}"
         )
+    _check_valid(s)
     pi = min(itertools.permutations(range(s.n)), key=lambda p: encoding(_relabel(s, p)))
     return _relabel(s, pi), pi
 

@@ -39,6 +39,8 @@ from identity_lab.closure import (
     _identity_of,
     _relabel_gathers,
     _renormalized,
+    _slot_key,
+    _stored_slots,
     canonical_forms,
 )
 from identity_lab.core import (
@@ -46,6 +48,7 @@ from identity_lab.core import (
     _domain_masks,
     _relabel,
     canonical_form,
+    elems_of,
     encoding,
     identity_from_subsets,
     mask_of,
@@ -689,6 +692,60 @@ def test_class_cache_loads_as_the_full_parse(identities):
 def test_member_rejects_oversized_query(cat4):
     with pytest.raises(SizeGuardError):
         member_of_catalog(cat4, trivial(5), ordered=True)
+
+
+# identities built directly on 3 points, each refused by from_json
+MALFORMED_QUERIES = {
+    "non-pair subset": Identity(3, "pairs", frozenset({frozenset({0b011, 0b111})})),
+    "one-member class": Identity(3, "pairs", frozenset({frozenset({0b011})})),
+    "overlapping classes": Identity(3, "pairs", frozenset(
+        {frozenset({0b011, 0b101}), frozenset({0b011, 0b110})})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_QUERIES))
+@pytest.mark.parametrize("query", ["unordered member", "ordered member", "canonical_form"])
+def test_member_and_canonical_form_refuse_malformed_queries(cat4, name, query):
+    s = MALFORMED_QUERIES[name]
+    with pytest.raises(UsageError):
+        if query == "canonical_form":
+            canonical_form(s)
+        else:
+            member_of_catalog(cat4, s, ordered=query == "ordered member")
+
+
+def assert_one_subset_order(idents):
+    """Domain masks are in ``elems_of`` order, and slot keys sorted by
+    ``(len(key), _stored_slots(key))`` sort their identities by ``encoding``."""
+    for s in idents:
+        masks = _domain_masks(s)
+        assert masks == sorted(masks, key=elems_of), to_json(s)
+
+    def key_order(s):
+        key = _slot_key(s)
+        return len(key), _stored_slots(key)
+
+    assert sorted(idents, key=key_order) == sorted(idents, key=encoding)
+
+
+def test_slot_key_order_is_encoding_order_on_catalogs(cat6, full5):
+    for cat in (cat6, full5):
+        assert_one_subset_order(cat.members())
+
+
+@given(st.sampled_from(["pairs", "full"]),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(0, 1 << 32)), min_size=1, max_size=8))
+def test_slot_key_order_is_encoding_order_on_random_identities(flavor, draws):
+    idents = {random_identity(random.Random(seed), n, flavor) for n, seed in draws}
+    assert_one_subset_order(list(idents))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n))))
+def test_partial_domain_masks_are_in_elems_of_order(drawn):
+    n, domain = drawn
+    masks = _domain_masks(Identity(n, "partial", frozenset(), frozenset(domain)))
+    assert masks == sorted(domain, key=elems_of)
 
 
 def test_full_catalog_counts_and_projection(full5, cat6):
