@@ -28,13 +28,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import SizeGuardError, UsageError
 
 FLAVORS = ("full", "partial", "pairs")
 
-CANONICAL_BOUND = 12  # brute-force relabeling bound; cost is factorial in n
+CANONICAL_BOUND = 12  # full-flavor domain bound; the domain has 2^n subsets
 SEARCH_GUARD = 1 << 21  # nodes one first_injection search (or budget) may visit
 # Largest ground set accepted from input, checked before any C(n,2)
 # structure is built; s_doubleprime_n(3) has 72 elements.
@@ -306,15 +307,15 @@ def canonical_form(s: Identity):
 
     Two identities are isomorphic iff their canonical forms are equal.  The
     minimum of ``encoding`` is taken over the relabelings through every
-    permutation of 0..n-1, so the cost is n! relabelings and n is refused
-    above CANONICAL_BOUND; the witness is the first minimizing permutation
-    in itertools.permutations order.
+    permutation of 0..n-1, so the cost is n! relabelings, charged against
+    SEARCH_GUARD before any is made (n <= 9 answers); the witness is the
+    first minimizing permutation in itertools.permutations order.
     """
-    if s.n > CANONICAL_BOUND:
-        raise SizeGuardError(
-            f"relabeling scan supports n <= {CANONICAL_BOUND}, got {size_text(s.n)}"
-        )
     _check_valid(s)
+    if math.factorial(s.n) > SEARCH_GUARD:
+        raise SizeGuardError(
+            f"relabeling scan of {s.n}! permutations exceeds SEARCH_GUARD ({SEARCH_GUARD})"
+        )
     pi = min(itertools.permutations(range(s.n)), key=lambda p: encoding(_relabel(s, p)))
     return _relabel(s, pi), pi
 
@@ -386,13 +387,13 @@ def first_injection(n_src: int, n_tgt: int, ordered: bool, checks, budget=None):
 def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     """Search for an injection h with (b e c) iff (h''b e h''c).
 
-    One ``first_injection`` search: each domain subset's image lies in the
-    target domain (checked at its top element), and two equal-size subsets
-    are equivalent iff their images are (checked at the top of their
-    union).  The empty set maps to itself, so it is checked up front.
-    Each depth's tests become one mask by running them on every target
-    not yet placed.  Returns the first witness in lex order, or None.
-    Both identities are validated first, grounds against GROUND_BOUND."""
+    One ``first_injection`` search, one check per depth d: a free t may be
+    h[d] iff, under h + [t], each nonempty domain subset with top element
+    <= d maps into the target domain and their (source, target) class
+    token pairs are one to one; tokens of unequal-size subsets never meet.
+    The empty set maps to itself, so it is checked up front.  Returns the
+    first witness in lex order, or None.  Both identities are validated
+    first, grounds against GROUND_BOUND."""
     _check_valid(src)
     _check_valid(tgt)
     if src.flavor == "pairs":
@@ -404,21 +405,17 @@ def embeds(src: Identity, tgt: Identity, ordered: bool = False):
     src_ids, tgt_ids = _class_id_map(src), _class_id_map(tgt)
     if src.n > tgt.n or 0 in src_ids and 0 not in tgt_ids:
         return None
-    tests = [[] for _ in range(src.n)]
-    for b in filter(None, src_ids):
-        tests[b.bit_length() - 1].append(lambda h, b=b: permute_mask(b, h) in tgt_ids)
-    for b, c in itertools.combinations(_domain_masks(src), 2):
-        if b.bit_count() == c.bit_count():  # else neither side is equal
-            same = src_ids[b] == src_ids[c]
-            tests[(b | c).bit_length() - 1].append(lambda h, b=b, c=c, same=same: (
-                tgt_ids[permute_mask(b, h)] == tgt_ids[permute_mask(c, h)]) == same)
+    def allowed(d):
+        subs = [b for b in src_ids if 0 < b < 2 << d]
+        toks = [src_ids[b] for b in subs]
+        width = len(set(toks))
 
-    def allowed(ok_all):
-        return lambda h: mask_of(t for t in range(tgt.n) if t not in h
-                                 and all(ok(h + [t]) for ok in ok_all))
+        def one_to_one(g):
+            imgs = [tgt_ids.get(permute_mask(b, g)) for b in subs]
+            return None not in imgs and len(set(imgs)) == width == len(set(zip(toks, imgs)))
+        return lambda h: mask_of(t for t in range(tgt.n) if t not in h and one_to_one(h + [t]))
 
-    checks = [[allowed(ok_all)] if ok_all else [] for ok_all in tests]
-    h = first_injection(src.n, tgt.n, ordered, checks)
+    h = first_injection(src.n, tgt.n, ordered, [[allowed(d)] for d in range(src.n)])
     return None if h is None else Embedding(h, ordered)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     Identity,
+    _check_valid,
     _class_id_map,
     check_ground,
     check_ground_exponent,
@@ -178,11 +179,12 @@ def simplify_k(s: Identity, k: int) -> Identity:
     equivalence, whose classes are the groups of equal (size, signature).
     Each group is audited pairwise, both ways, by the direct test, and a
     SimplifyError is raised if any pair fails; the audit never repairs
-    anything silently.
+    anything silently.  A malformed identity is refused first.
     """
     check_size(k, "simplify_k k")
     if s.flavor != "full":
         raise UsageError(f"simplify_k needs full flavor, got {s.flavor!r}")
+    _check_valid(s)
     ids = _class_id_map(s)
 
     def related(b: int, c: int) -> bool:
@@ -228,12 +230,15 @@ def order_forcing_extension(s: Identity) -> Identity:
     for each l < n-1, the new pair {l, n+l} is placed in the class of
     {l, l+1} (or forms a new class with it when {l, l+1} is a singleton).
     Every added pair lies outside the original ground set, so no two
-    original classes are ever merged.
+    original classes are ever merged.  The input is validated first, and
+    an output above GROUND_BOUND is refused before anything is built.
     """
+    _check_valid(s)
     if s.flavor != "pairs":
         raise UsageError(f"order_forcing_extension needs pairs flavor, got {s.flavor!r}")
     if s.n < 2:
         raise UsageError(f"order_forcing_extension needs n >= 2, got {s.n}")
+    check_ground(2 * s.n - 1)
     n = s.n
     grown = {}
     for l in range(n - 1):

@@ -295,6 +295,22 @@ def test_builtin_refuses_families_above_the_ground_bound():
     assert run("builtin", "--family", "sk", "--k", "11").returncode == 0
 
 
+def test_extend_order_refuses_an_output_above_the_ground_bound(tmp_path):
+    # 2n - 1 points: 40 points would extend to 79, which no loader takes back
+    for n, ground in ((40, 79), (36, 71)):
+        src, out = tmp_path / f"trivial{n}.json", tmp_path / f"ext{n}.json"
+        src.write_text(run("builtin", "--family", "trivial", "--n", str(n)).stdout)
+        proc = run("extend-order", "--in", str(src))
+        assert "Traceback" not in proc.stderr
+        if ground > 72:
+            assert proc.returncode == 4
+            assert f"ground size {ground} exceeds the bound 72" in proc.stderr
+        else:
+            assert proc.returncode == 0 and json.loads(proc.stdout)["n"] == ground
+            out.write_text(proc.stdout)
+            assert run("check", "--in", str(out)).returncode == 0
+
+
 def test_order_search_guard_exits_4(tmp_path):
     probe = tmp_path / "probe.json"
     probe.write_text(json.dumps(ORDER_SEARCH_PAST_GUARD))

@@ -316,6 +316,14 @@ def test_canonical_form_is_idempotent():
         assert canonical_form(canon)[0] == canon
 
 
+def test_canonical_form_counts_its_relabelings():
+    # 10! = 3,628,800 relabelings are over SEARCH_GUARD, so the scan is
+    # refused before it starts; 9! answers
+    with pytest.raises(SizeGuardError, match=r"10! permutations exceeds SEARCH_GUARD"):
+        canonical_form(trivial(10))
+    assert canonical_form(trivial(9)) == (trivial(9), tuple(range(9)))
+
+
 def test_canonical_witness_reproduces_the_form():
     s = s_k(3)
     canon, pi = canonical_form(s)
@@ -392,6 +400,22 @@ def test_embeds_spends_the_reference_search_budget(cat4, monkeypatch):
             assert embeds(src, tgt, ordered) == reference_embeds(src, tgt, ordered, ref), (
                 to_json(src), to_json(tgt), ordered)
             assert budget == ref
+
+
+def test_embeds_matches_the_reference_on_wide_domains(monkeypatch):
+    # deeper than brute force reaches: the one token check a depth gives
+    # the pairwise reference's witness and spends its nodes
+    budget, ref = shared_budget(monkeypatch, core), [1 << 40]
+    cases = [(s_k(3), s_prime_n(2)), (trivial(8), s_prime_n(2)), (s_prime_n(2), s_prime_n(3))]
+    cases += [(s, trivial_full(6)) for s in generate_catalog(4, "full").members()]
+    for src, tgt in cases:
+        for ordered in (False, True):
+            assert embeds(src, tgt, ordered) == reference_embeds(src, tgt, ordered, ref), (
+                to_json(src), to_json(tgt), ordered)
+            assert budget == ref
+    # 3,265,290 and 1,350,030 pairs of equal-size subsets, one check a depth
+    assert embeds(trivial(72), trivial(72)) == Embedding(tuple(range(72)), False)
+    assert embeds(trivial_full(12), trivial_full(12)) == Embedding(tuple(range(12)), False)
 
 
 @given(n_src=st.integers(0, 5), n_tgt=st.integers(0, 8), ordered=st.booleans(),

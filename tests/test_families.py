@@ -329,3 +329,30 @@ def test_order_forcing_extension_restricts_back(cat4):
 def test_order_forcing_extension_rejects_tiny_ground():
     with pytest.raises(UsageError):
         order_forcing_extension(trivial(1))
+
+
+def test_order_forcing_extension_refuses_an_output_above_the_ground_bound():
+    # 2n - 1 points: 79 for n = 40 is refused, 71 for n = 36 is built
+    with pytest.raises(SizeGuardError, match="ground size 79 exceeds the bound 72"):
+        order_forcing_extension(trivial(40))
+    assert order_forcing_extension(trivial(36)).n == 71
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(Identity(4, "pairs", frozenset({frozenset({0b0011, 0b0111})})),
+                 id="mixed cardinalities"),
+    pytest.param(Identity(3.0, "pairs", frozenset()), id="float n"),
+])
+def test_order_forcing_extension_refuses_malformed_input(s):
+    with pytest.raises(UsageError):
+        order_forcing_extension(s)
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(Identity(3, "full", frozenset(
+        {frozenset({0b011, 0b101}), frozenset({0b101, 0b110})})), id="overlapping classes"),
+    pytest.param(Identity(3.0, "full", frozenset()), id="float n"),
+])
+def test_simplify_refuses_malformed_input(s):
+    with pytest.raises(UsageError):
+        simplify_k(s, 1)
